@@ -49,6 +49,9 @@
 // resets the WAL and exits 0 (the signal path is the graceful one; only
 // SIGKILL loses the checkpoint, and then recovery replays the WAL).
 // --health-out FILE additionally writes the final health JSON to a file.
+// --trace-out FILE records tracing spans for the whole run — each epoch's
+// serve/commit, serve/apply, serve/publish and serve/identify — and writes
+// them as Chrome trace JSON on exit (crash simulations included).
 //
 // Exit codes match remedy_cli: 0 success, 1 usage, 64 invalid argument,
 // 65 corrupt state, 70 internal, 74 I/O, 75 resource exhausted.
@@ -69,6 +72,7 @@
 #include "core/remedy_backend.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/trace.h"
 #include "core/hierarchy.h"
 #include "data/loader.h"
 #include "datagen/adult.h"
@@ -113,6 +117,7 @@ struct ServeArgs {
   int kill_after = 0;
   bool serve = false;
   std::string health_out;
+  std::string trace_out;
   bool remedy_once = false;
   bool kill_after_remedy = false;
   std::string remedy_backend_name;  // parsed in Run: bad names exit 64
@@ -129,6 +134,7 @@ void PrintUsage() {
       " --state-dir DIR\n"
       "  [--protected a,b,...] [--label col] [--seed] [--batch file]...\n"
       "  [--demo N] [--kill-after N] [--serve] [--health-out file]\n"
+      "  [--trace-out file.json]\n"
       "  [--remedy ps|us|os|massage] [--auto-remedy]\n"
       "  [--remedy-backend rebuild|incremental|streaming]\n"
       "  [--remedy-seed N] [--remedy-rounds N] [--kill-after-remedy]\n"
@@ -178,6 +184,8 @@ ServeArgs ParseArgs(int argc, char** argv) {
       args.serve = true;
     } else if (arg == "--health-out") {
       args.health_out = value_of();
+    } else if (arg == "--trace-out") {
+      args.trace_out = value_of();
     } else if (arg == "--remedy") {
       const std::string technique = value_of();
       if (technique == "ps") {
@@ -354,6 +362,15 @@ bool SignalPending(const sigset_t& set) {
   return sigtimedwait(&set, nullptr, &zero) > 0;
 }
 
+// Writes the collected spans when --trace-out asked for them.
+void WriteTrace(const ServeArgs& args) {
+  const TraceSink* sink = TraceSink::Active();
+  if (sink == nullptr || args.trace_out.empty()) return;
+  Status written = sink->WriteChromeJson(args.trace_out);
+  std::printf("trace %s: %s\n", args.trace_out.c_str(),
+              written.ok() ? "written" : written.ToString().c_str());
+}
+
 int Run(ServeArgs& args, const sigset_t& signals) {
   if (!args.remedy_backend_name.empty()) {
     StatusOr<RemedyBackendKind> parsed =
@@ -448,6 +465,8 @@ int Run(ServeArgs& args, const sigset_t& signals) {
     std::printf("kill-after: exiting without checkpoint (wal retains %s)\n",
                 flushed.ok() ? "all applied batches" : "the durable prefix");
     std::printf("final: %s\n", daemon.HealthJson().c_str());
+    WriteTrace(args);
+    std::fflush(stdout);
     std::_Exit(0);  // ~ServeDaemon would checkpoint; a crash doesn't.
   }
 
@@ -507,6 +526,8 @@ int Run(ServeArgs& args, const sigset_t& signals) {
       Status written = WriteTextFile(args.health_out, health + "\n");
       if (!written.ok()) return Fail("health write failed", written);
     }
+    WriteTrace(args);
+    std::fflush(stdout);
     std::_Exit(0);
   }
 
@@ -526,6 +547,7 @@ int Run(ServeArgs& args, const sigset_t& signals) {
   }
   const std::string health = daemon.HealthJson();
   std::printf("final: %s\n", health.c_str());
+  WriteTrace(args);
   if (!args.health_out.empty()) {
     Status written = WriteTextFile(args.health_out, health + "\n");
     if (!written.ok()) return Fail("health write failed", written);
@@ -555,5 +577,7 @@ int main(int argc, char** argv) {
   sigaddset(&signals, SIGINT);
   sigaddset(&signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &signals, nullptr);
+  std::unique_ptr<TraceSink> sink;
+  if (!args.trace_out.empty()) sink = std::make_unique<TraceSink>();
   return Run(args, signals);
 }

@@ -83,7 +83,7 @@ namespace remedy {
     "being re-scored")                                                        \
   X(ibs_incr_full_fallbacks, "ibs_incr/full_fallbacks", "passes",             \
     "incremental identify passes that fell back to a full lattice sweep "     \
-    "(cold cache, recovery, rebuild, or params change)")                      \
+    "(cold cache, recovery, rebuild, params change, or forced full mode)")    \
   X(remedy_regions_planned, "remedy/regions_planned", "regions",              \
     "imbalanced regions a remedy plan was computed for")                      \
   X(remedy_oversample_rows_added, "remedy/oversample/rows_added", "rows",     \

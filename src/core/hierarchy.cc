@@ -5,10 +5,31 @@
 
 #include "common/check.h"
 #include "common/pipeline_metrics.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 
 namespace remedy {
+namespace {
+
+// One entry's share of the counts digest (see Hierarchy::CountsDigest):
+// a chained SplitMix64 over (mask, key, positives, negatives), and zero
+// for an empty entry so a drained region digests like an absent one.
+uint64_t EntryDigest(uint32_t mask, uint64_t key, const RegionCounts& counts) {
+  if (counts.positives == 0 && counts.negatives == 0) return 0;
+  uint64_t h = SplitMix64(mask);
+  h = SplitMix64(h ^ key);
+  h = SplitMix64(h ^ static_cast<uint64_t>(counts.positives));
+  return SplitMix64(h ^ static_cast<uint64_t>(counts.negatives));
+}
+
+// The level-0 totals enter the digest as the single region of mask 0,
+// which no lattice node uses.
+uint64_t TotalsDigest(const RegionCounts& totals) {
+  return EntryDigest(0, 0, totals);
+}
+
+}  // namespace
 
 Hierarchy::Hierarchy(const Dataset& data)
     : data_(&data),
@@ -126,6 +147,7 @@ Status Hierarchy::EagerBuild(int threads) {
   }
   if (NumProtected() == 1) {
     fully_built_ = true;
+    entries_digest_ = RecomputeCountsDigest() - TotalsDigest(total_counts_);
     return OkStatus();
   }
 
@@ -171,6 +193,7 @@ Status Hierarchy::EagerBuild(int threads) {
     }
   }
   fully_built_ = true;
+  entries_digest_ = RecomputeCountsDigest() - TotalsDigest(total_counts_);
   return OkStatus();
 }
 
@@ -181,67 +204,90 @@ void Hierarchy::ApplyDeltas(const std::vector<LeafDelta>& deltas,
   if (deltas.empty()) return;
   PipelineMetrics::Get().lattice_delta_rows->Increment(
       static_cast<int64_t>(deltas.size()));
-  const uint32_t leaf = LeafMask();
-  for (auto& [mask, table] : node_cache_) {
+
+  // The batch as a signed-count leaf table: sorted, duplicate keys summed.
+  std::vector<NodeTable::Entry> leaf_entries;
+  leaf_entries.reserve(deltas.size());
+  RegionCounts batch_totals;
+  for (const LeafDelta& delta : deltas) {
+    leaf_entries.push_back(
+        {delta.leaf_key, {delta.delta_positives, delta.delta_negatives}});
+    batch_totals.positives += delta.delta_positives;
+    batch_totals.negatives += delta.delta_negatives;
+  }
+
+  // Adds one node's delta table to the node, keeping the digest and the
+  // dirty set current from the same walk.
+  std::vector<RegionCounts> before;
+  auto apply = [&](uint32_t mask, const NodeTable& node_deltas) {
+    auto node = node_cache_.find(mask);
+    REMEDY_CHECK(node != node_cache_.end());
+    node->second.AddDeltas(node_deltas, insert_missing, &before);
     std::unordered_set<uint64_t>* touched =
         dirty_tracking_ ? &dirty_.touched[mask] : nullptr;
-    for (const LeafDelta& delta : deltas) {
-      const uint64_t key = counter_.ProjectKey(delta.leaf_key, leaf, mask);
+    for (size_t i = 0; i < node_deltas.size(); ++i) {
+      const auto& [key, delta] = node_deltas.entries()[i];
+      const RegionCounts after{before[i].positives + delta.positives,
+                               before[i].negatives + delta.negatives};
+      entries_digest_ +=
+          EntryDigest(mask, key, after) - EntryDigest(mask, key, before[i]);
       if (touched != nullptr) touched->insert(key);
-      if (insert_missing) {
-        table.UpsertDelta(key, delta.delta_positives, delta.delta_negatives);
-      } else {
-        table.ApplyDelta(key, delta.delta_positives, delta.delta_negatives);
-      }
     }
+  };
+
+  // Roll the batch up level by level with the child choice EagerBuild
+  // uses (lowest missing position); a level's tables are dropped once the
+  // level above has rolled up from them.
+  std::unordered_map<uint32_t, NodeTable> level;
+  level.emplace(LeafMask(), NodeTable(std::move(leaf_entries)));
+  apply(LeafMask(), level.begin()->second);
+  for (int depth = NumProtected() - 1; depth >= 1; --depth) {
+    std::unordered_map<uint32_t, NodeTable> above;
+    for (uint32_t mask : MasksAtLevel(depth)) {
+      const uint32_t missing = LeafMask() & ~mask;
+      const uint32_t child = mask | (missing & (~missing + 1));
+      const NodeTable& rolled =
+          above.emplace(mask, counter_.RollUp(level.at(child), child, mask))
+              .first->second;
+      apply(mask, rolled);
+    }
+    level = std::move(above);
   }
-  for (const LeafDelta& delta : deltas) {
-    total_counts_.positives += delta.delta_positives;
-    total_counts_.negatives += delta.delta_negatives;
-  }
+
+  total_counts_.positives += batch_totals.positives;
+  total_counts_.negatives += batch_totals.negatives;
+  REMEDY_CHECK(total_counts_.positives >= 0 && total_counts_.negatives >= 0)
+      << "deltas drove the dataset totals negative";
   if (dirty_tracking_) {
-    for (const LeafDelta& delta : deltas) {
-      dirty_.delta_positives += delta.delta_positives;
-      dirty_.delta_negatives += delta.delta_negatives;
-    }
+    dirty_.delta_positives += batch_totals.positives;
+    dirty_.delta_negatives += batch_totals.negatives;
   } else {
     // Untracked mutation: a dirty-set consumer can no longer trust its
     // cache against these counts.
     ++generation_;
   }
-  REMEDY_CHECK(total_counts_.positives >= 0 && total_counts_.negatives >= 0)
-      << "deltas drove the dataset totals negative";
 }
 
 void Hierarchy::ApplyDelta(const LeafDelta& delta) {
   ApplyDeltas(std::vector<LeafDelta>{delta});
 }
 
-uint64_t Hierarchy::CountsDigest() {
+uint64_t Hierarchy::CountsDigest() const {
   REMEDY_CHECK(fully_built_ && total_valid_)
       << "CountsDigest requires a fully built hierarchy (call EagerBuild)";
-  uint64_t digest = 14695981039346656037ull;
-  auto mix = [&digest](uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      digest ^= (value >> (8 * i)) & 0xff;
-      digest *= 1099511628211ull;
-    }
-  };
-  // node_cache_ is hash-ordered; walk the masks in the deterministic
-  // bottom-up order instead so equal lattices always digest equal.
-  for (uint32_t mask : BottomUpMasks()) {
-    const auto it = node_cache_.find(mask);
-    REMEDY_CHECK(it != node_cache_.end());
-    mix(mask);
-    mix(it->second.size());
-    for (const auto& [key, counts] : it->second) {
-      mix(key);
-      mix(static_cast<uint64_t>(counts.positives));
-      mix(static_cast<uint64_t>(counts.negatives));
+  return entries_digest_ + TotalsDigest(total_counts_);
+}
+
+uint64_t Hierarchy::RecomputeCountsDigest() const {
+  REMEDY_CHECK(fully_built_ && total_valid_)
+      << "RecomputeCountsDigest requires a fully built hierarchy (call "
+         "EagerBuild)";
+  uint64_t digest = TotalsDigest(total_counts_);
+  for (const auto& [mask, table] : node_cache_) {
+    for (const auto& [key, counts] : table) {
+      digest += EntryDigest(mask, key, counts);
     }
   }
-  mix(static_cast<uint64_t>(total_counts_.positives));
-  mix(static_cast<uint64_t>(total_counts_.negatives));
   return digest;
 }
 

@@ -32,9 +32,11 @@ namespace remedy {
 // The region keys ApplyDeltas touched since the set was last cleared — the
 // seed of the incremental identify path (see core/ibs_incremental.h). Every
 // leaf delta projects into exactly one region of every node, and ApplyDeltas
-// computes those projections anyway, so recording them here is free of extra
-// key arithmetic. The set accumulates across epochs until a consumer clears
-// it, so an identify that runs every N epochs still sees every touched key.
+// rolls each batch up to exactly those keys anyway (the keys of each node's
+// delta table, net-zero ones included), so recording them here is free of
+// extra key arithmetic. The set accumulates across epochs until a consumer
+// clears it, so an identify that runs every N epochs still sees every
+// touched key.
 struct DirtySet {
   // Per node mask: the region keys some applied delta projected into.
   std::unordered_map<uint32_t, std::unordered_set<uint64_t>> touched;
@@ -140,26 +142,47 @@ class Hierarchy {
   };
 
   // Applies leaf-level count deltas to every materialized node and to the
-  // level-0 totals: each delta lands at the leaf entry and at the ancestor
-  // entry its key projects to (digit projection), exactly as a full rebuild
-  // of the mutated dataset would count — without rescanning any rows.
-  // Requires a fully built hierarchy (EagerBuild) so no node is left behind
-  // to be lazily rebuilt from a dataset the deltas already describe.
-  // Deltas must be pre-aggregated per leaf key and must never drive a
-  // region's counts negative. Entries whose counts reach zero are kept.
-  // With `insert_missing` (the streaming-ingest form) a delta whose key no
-  // node has seen yet inserts the entry instead of dying — new subgroups
-  // can appear mid-stream, which a batch-counted lattice never allows.
+  // level-0 totals, exactly as a full rebuild of the mutated dataset would
+  // count — without rescanning any rows. Requires a fully built hierarchy
+  // (EagerBuild) so no node is left behind to be lazily rebuilt from a
+  // dataset the deltas already describe.
+  //
+  // Rollup contract: the batch is rolled up the lattice once, the way
+  // EagerBuild rolls up counts. The leaf deltas become one sorted NodeTable
+  // of signed counts (duplicate keys summed, net-zero keys kept); each
+  // coarser node's delta table is RegionCounter::RollUp of its
+  // lowest-missing-position child's; and each node adds its table in place
+  // (NodeTable::AddDeltas — one linear merge when some keys are new). The
+  // cost is O(batch keys) per node, never O(node entries) per key. Only
+  // final counts are checked: a batch may carry duplicate keys whose
+  // running sum dips below zero, but any region (or the totals) ending
+  // negative dies with a full CHECK. Entries whose counts reach zero are
+  // kept. With `insert_missing` (the streaming-ingest form) a key no node
+  // has seen yet inserts the entry instead of dying — new subgroups can
+  // appear mid-stream, which a batch-counted lattice never allows.
   void ApplyDeltas(const std::vector<LeafDelta>& deltas,
                    bool insert_missing = false);
   void ApplyDelta(const LeafDelta& delta);
 
-  // Order-stable FNV-1a digest over every materialized node's entries plus
-  // the level-0 totals. Two fully built hierarchies agree iff their counts
-  // are byte-identical node for node — the recovery acceptance check of
-  // the streaming service (a WAL replay must land on the digest of the
-  // uninterrupted run). Requires a fully built hierarchy.
-  uint64_t CountsDigest();
+  // Order-independent digest of the lattice counts: the sum (mod 2^64),
+  // over every non-empty entry of every node, of a strong 64-bit mix of
+  // (node mask, region key, positives, negatives), plus the same mix of
+  // the level-0 totals under mask 0. Two fully built hierarchies digest
+  // equal iff their non-empty counts agree node for node (up to 64-bit
+  // collisions) — the recovery acceptance check of the streaming service
+  // (a WAL replay must land on the digest of the uninterrupted run).
+  // Entries whose counts drained to zero digest exactly like absent ones,
+  // so the same counts reached by different delta histories digest equal.
+  // Values are only ever compared for equality within one build; they are
+  // not comparable with builds that used the earlier byte-walk digest.
+  //
+  // CountsDigest() is an O(1) read: EagerBuild seeds the sum and
+  // ApplyDeltas keeps it current entry by entry as it merges each node's
+  // delta table. RecomputeCountsDigest() walks every entry from scratch —
+  // the oracle the maintained value is tested against. Both require a
+  // fully built hierarchy.
+  uint64_t CountsDigest() const;
+  uint64_t RecomputeCountsDigest() const;
 
   // Counts of the whole dataset (level-0 node).
   const RegionCounts& TotalCounts();
@@ -220,6 +243,9 @@ class Hierarchy {
   bool dirty_tracking_ = false;
   DirtySet dirty_;
   uint64_t generation_ = 0;
+  // Sum of the per-entry digest mixes over every node (totals excluded);
+  // valid while fully_built_.
+  uint64_t entries_digest_ = 0;
 };
 
 }  // namespace remedy

@@ -9,6 +9,7 @@
 #include "common/pipeline_metrics.h"
 #include "common/trace.h"
 #include "core/imbalance.h"
+#include "data/shard_file.h"
 
 namespace remedy {
 namespace {
@@ -43,12 +44,13 @@ std::vector<BiasedRegion> IncrementalIbsState::FullPass(
   PipelineMetrics::Get().ibs_incr_full_fallbacks->Increment();
   stats_ = {};
   last_fallback_reason_ = reason;
-  cache_.clear();
+  nodes_.clear();
   std::vector<BiasedRegion> out;
   for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
     std::vector<BiasedRegion> node_biased =
         IdentifyIbsInNode(hierarchy, mask, params);
-    NodeCache& cached = cache_[mask];
+    NodeCache& cached = nodes_.emplace_back();
+    cached.mask = mask;
     cached.biased.reserve(node_biased.size());
     for (const BiasedRegion& region : node_biased) {
       cached.biased.emplace_back(
@@ -89,11 +91,27 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
   }
 
   NeighborhoodCalculator neighborhood(hierarchy, params.distance_threshold);
-  std::vector<BiasedRegion> out;
   int64_t reuse = 0;
   int64_t naive = 0;
-  for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
-    NodeCache& cached = cache_[mask];
+  // Scores one region as the full sweep does; keeps a biased verdict.
+  auto rescore = [&](uint32_t mask, bool use_optimized, uint64_t key,
+                     const RegionCounts& counts,
+                     std::vector<std::pair<uint64_t, BiasedRegion>>* fresh) {
+    BiasedRegion region;
+    const RegionVerdict verdict = ScoreRegion(
+        hierarchy, neighborhood, use_optimized, mask, key, counts, params,
+        &region);
+    if (verdict == RegionVerdict::kSkipped) return;
+    ++stats_.rescored_regions;
+    use_optimized ? ++reuse : ++naive;
+    if (verdict == RegionVerdict::kBiased) {
+      fresh->emplace_back(key, std::move(region));
+    }
+  };
+
+  size_t total_biased = 0;
+  for (NodeCache& cached : nodes_) {
+    const uint32_t mask = cached.mask;
     auto dirty_it = dirty.touched.find(mask);
     const bool node_dirty =
         dirty_it != dirty.touched.end() && !dirty_it->second.empty();
@@ -104,37 +122,33 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     // verdict is exact.
     if (!node_dirty && !(whole_node && totals_drifted)) {
       stats_.cached_regions += static_cast<int64_t>(cached.biased.size());
-      for (const auto& [key, region] : cached.biased) out.push_back(region);
+      total_biased += cached.biased.size();
       continue;
     }
 
     const NodeTable& node = hierarchy.NodeCounts(mask);
     const bool use_optimized = params.algorithm == IbsAlgorithm::kOptimized &&
                                neighborhood.SupportsOptimized(mask);
-    if (node_dirty) {
-      stats_.dirty_regions += static_cast<int64_t>(dirty_it->second.size());
-    }
+    const size_t num_dirty = node_dirty ? dirty_it->second.size() : 0;
+    stats_.dirty_regions += static_cast<int64_t>(num_dirty);
 
-    // T >= node diameter: r_n = totals - r for every region, so a totals
-    // drift moves every neighborhood at once — re-sweep the whole node
-    // (these nodes are the coarse, small ones).
-    if (whole_node && totals_drifted) {
+    // Re-sweep the whole node when
+    //  * T >= node diameter and the totals drifted: r_n = totals - r for
+    //    every region, so the drift moves every neighborhood at once (these
+    //    nodes are the coarse, small ones); or
+    //  * the cutover: the dirty keys reach kCutoverDirtyShare of the node's
+    //    entries, where expanding and merging their frontier would cost
+    //    more than scoring every entry once.
+    std::vector<std::pair<uint64_t, BiasedRegion>> fresh;
+    if ((whole_node && totals_drifted) ||
+        static_cast<double>(num_dirty) >=
+            kCutoverDirtyShare * static_cast<double>(node.size())) {
       ++stats_.full_node_rescores;
-      std::vector<std::pair<uint64_t, BiasedRegion>> fresh;
       for (const auto& [key, counts] : node) {
-        BiasedRegion region;
-        const RegionVerdict verdict =
-            ScoreRegion(hierarchy, neighborhood, use_optimized, mask, key,
-                        counts, params, &region);
-        if (verdict == RegionVerdict::kSkipped) continue;
-        ++stats_.rescored_regions;
-        use_optimized ? ++reuse : ++naive;
-        if (verdict == RegionVerdict::kBiased) {
-          fresh.emplace_back(key, std::move(region));
-        }
+        rescore(mask, use_optimized, key, counts, &fresh);
       }
       cached.biased = std::move(fresh);
-      for (const auto& [key, region] : cached.biased) out.push_back(region);
+      total_biased += cached.biased.size();
       continue;
     }
 
@@ -145,9 +159,8 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     // clean regions keep r_n = totals - r unchanged, so no expansion.
     std::vector<uint64_t> reeval(dirty_it->second.begin(),
                                  dirty_it->second.end());
-    const int64_t num_dirty = static_cast<int64_t>(reeval.size());
     if (!whole_node) {
-      for (int64_t i = 0; i < num_dirty; ++i) {
+      for (size_t i = 0; i < num_dirty; ++i) {
         Pattern pattern = hierarchy.counter().PatternFor(reeval[i], mask);
         neighborhood.AppendNeighborKeys(pattern, &reeval);
       }
@@ -155,20 +168,19 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     std::sort(reeval.begin(), reeval.end());
     reeval.erase(std::unique(reeval.begin(), reeval.end()), reeval.end());
     if (!whole_node) {
-      stats_.expanded_regions +=
-          static_cast<int64_t>(reeval.size()) - num_dirty;
+      stats_.expanded_regions += static_cast<int64_t>(reeval.size()) -
+                                 static_cast<int64_t>(num_dirty);
     }
 
     // Merge: walk the cached biased verdicts and the re-evaluation keys in
     // one ascending-key sweep — the NodeTable iteration order of the full
     // sweep — keeping untouched verdicts and re-scoring the rest.
-    std::vector<std::pair<uint64_t, BiasedRegion>> fresh;
     size_t ci = 0;
     size_t ri = 0;
     while (ci < cached.biased.size() || ri < reeval.size()) {
       if (ri == reeval.size() ||
           (ci < cached.biased.size() && cached.biased[ci].first < reeval[ri])) {
-        fresh.push_back(cached.biased[ci]);
+        fresh.push_back(std::move(cached.biased[ci]));
         ++stats_.cached_regions;
         ++ci;
         continue;
@@ -181,22 +193,20 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
       // A frontier key with no table entry is a region the full sweep never
       // visits (it iterates entries only) — nothing to score.
       if (it == node.end()) continue;
-      BiasedRegion region;
-      const RegionVerdict verdict =
-          ScoreRegion(hierarchy, neighborhood, use_optimized, mask, key,
-                      it->second, params, &region);
-      if (verdict == RegionVerdict::kSkipped) continue;
-      ++stats_.rescored_regions;
-      use_optimized ? ++reuse : ++naive;
-      if (verdict == RegionVerdict::kBiased) {
-        fresh.emplace_back(key, std::move(region));
-      }
+      rescore(mask, use_optimized, key, it->second, &fresh);
     }
     cached.biased = std::move(fresh);
-    for (const auto& [key, region] : cached.biased) out.push_back(region);
+    total_biased += cached.biased.size();
   }
   hierarchy.ClearDirtySet();
   cached_generation_ = hierarchy.mutation_generation();
+
+  // The merged per-node verdicts, in scope order: one exact-size copy.
+  std::vector<BiasedRegion> out;
+  out.reserve(total_biased);
+  for (const NodeCache& cached : nodes_) {
+    for (const auto& [key, region] : cached.biased) out.push_back(region);
+  }
 
   const PipelineMetrics& metrics = PipelineMetrics::Get();
   metrics.ibs_incr_dirty_leaves->Increment(stats_.dirty_leaves);
@@ -210,10 +220,23 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
   return out;
 }
 
+uint64_t IncrementalIbsState::SubgroupKeyDigest() const {
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (const NodeCache& cached : nodes_) {
+    for (const auto& [key, region] : cached.biased) {
+      uint8_t bytes[12];
+      for (int i = 0; i < 4; ++i) bytes[i] = (cached.mask >> (8 * i)) & 0xff;
+      for (int i = 0; i < 8; ++i) bytes[4 + i] = (key >> (8 * i)) & 0xff;
+      digest = Fnv1a64(bytes, sizeof(bytes), digest);
+    }
+  }
+  return digest;
+}
+
 void IncrementalIbsState::Invalidate(const std::string& reason) {
   pending_reason_ = reason.empty() ? "invalidated" : reason;
   have_cache_ = false;
-  cache_.clear();
+  nodes_.clear();
 }
 
 uint64_t IbsSetDigest(const std::vector<BiasedRegion>& ibs) {

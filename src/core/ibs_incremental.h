@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,6 +42,13 @@ struct IncrementalIdentifyStats {
 //  * the merged per-node output walks cached and re-scored entries in
 //    ascending key order — the NodeTable iteration order of the full sweep.
 //
+// Cutover: a node whose dirty keys reach kCutoverDirtyShare of its entries
+// is re-swept whole, through the same path as the totals-drift case, so no
+// incremental pass costs more than a full sweep plus its bookkeeping (a
+// census-sized batch would otherwise expand and merge a frontier larger
+// than the node). Cut-over nodes count in full_node_rescores and add
+// nothing to expanded_regions.
+//
 // Falls back to a full sweep (recording why) on: a cold cache, an
 // Invalidate() call (the daemon does this on recovery), a rebuilt or
 // swapped hierarchy, a params change, or dirty tracking having been off
@@ -73,9 +79,26 @@ class IncrementalIbsState {
 
   bool has_cache() const { return have_cache_; }
 
+  // FNV-1a over the (node mask, region key) of every subgroup the most
+  // recent pass identified, in output order — the daemon's online-monitor
+  // digest, read off the cache without re-encoding any pattern.
+  uint64_t SubgroupKeyDigest() const;
+
+  // Share of a node's entries its dirty keys must reach before the node is
+  // re-swept whole instead of incrementally (the cutover above). Measured
+  // at T = 1 on two lattices, batches dirtying from a few leaves up to all
+  // of them: the |X| = 8, cardinality-4 one (1.2M rows) and Adult's
+  // 6-attribute one (1M rows). Shares of 0.05-0.10 gave the lowest
+  // identify time on both; at 0.02-0.03 the 256-entry |X| = 8 nodes cut
+  // over on 8-leaf batches and cost ~20% more, and above 0.10 passes over
+  // 0.5-3% of the leaves cost up to 60% more. At 0.05 no measured pass was
+  // slower than a full sweep by more than its bookkeeping (~8%).
+  static constexpr double kCutoverDirtyShare = 0.05;
+
  private:
   struct NodeCache {
-    // Biased verdicts of one node, ascending by region key.
+    uint32_t mask = 0;
+    // Biased verdicts of the node, ascending by region key.
     std::vector<std::pair<uint64_t, BiasedRegion>> biased;
   };
 
@@ -87,7 +110,8 @@ class IncrementalIbsState {
                                      const IbsParams& params,
                                      const std::string& reason);
 
-  std::unordered_map<uint32_t, NodeCache> cache_;
+  // Per-node verdict caches, in the ScopeMasks traversal order.
+  std::vector<NodeCache> nodes_;
   bool have_cache_ = false;
   std::string pending_reason_ = "cold_cache";  // non-empty: full pass forced
   const Hierarchy* cached_hierarchy_ = nullptr;

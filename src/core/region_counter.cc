@@ -64,34 +64,76 @@ const RegionCounts& NodeTable::at(uint64_t key) const {
   return it->second;
 }
 
-void NodeTable::ApplyDelta(uint64_t key, int64_t delta_positives,
-                           int64_t delta_negatives) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const Entry& entry, uint64_t k) { return entry.first < k; });
-  REMEDY_CHECK(it != entries_.end() && it->first == key)
-      << "delta for region key " << key << " not in node";
-  it->second.positives += delta_positives;
-  it->second.negatives += delta_negatives;
-  REMEDY_DCHECK(it->second.positives >= 0 && it->second.negatives >= 0)
+namespace {
+
+// First entry of [first, last) whose key is >= `key`, galloping from
+// `first`: probes 1, 2, 4, ... entries ahead, then binary-searches the
+// bracketing run, so walking d ascending keys through n entries costs
+// O(d log(n/d)) — a binary search per key when d is small, a near-linear
+// merge when d approaches n.
+std::vector<NodeTable::Entry>::iterator GallopTo(
+    std::vector<NodeTable::Entry>::iterator first,
+    std::vector<NodeTable::Entry>::iterator last, uint64_t key) {
+  const auto less = [](const NodeTable::Entry& entry, uint64_t k) {
+    return entry.first < k;
+  };
+  size_t step = 1;
+  while (static_cast<size_t>(last - first) > step) {
+    const auto probe = first + static_cast<std::ptrdiff_t>(step);
+    if (probe->first >= key) return std::lower_bound(first, probe, key, less);
+    first = probe + 1;
+    step *= 2;
+  }
+  return std::lower_bound(first, last, key, less);
+}
+
+void CheckNonNegative(uint64_t key, const RegionCounts& counts) {
+  REMEDY_CHECK(counts.positives >= 0 && counts.negatives >= 0)
       << "delta drove region key " << key << " negative";
 }
 
-void NodeTable::UpsertDelta(uint64_t key, int64_t delta_positives,
-                            int64_t delta_negatives) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const Entry& entry, uint64_t k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) {
-    it = entries_.insert(it, {key, RegionCounts{}});
+}  // namespace
+
+void NodeTable::AddDeltas(const NodeTable& deltas, bool insert_missing,
+                          std::vector<RegionCounts>* before) {
+  if (before != nullptr) before->assign(deltas.size(), RegionCounts{});
+  size_t missing = 0;
+  auto it = entries_.begin();
+  for (size_t i = 0; i < deltas.entries_.size(); ++i) {
+    const auto& [key, delta] = deltas.entries_[i];
+    it = GallopTo(it, entries_.end(), key);
+    if (it == entries_.end() || it->first != key) {
+      REMEDY_CHECK(insert_missing)
+          << "delta for region key " << key << " not in node";
+      CheckNonNegative(key, delta);
+      ++missing;
+      continue;
+    }
+    if (before != nullptr) (*before)[i] = it->second;
+    it->second.positives += delta.positives;
+    it->second.negatives += delta.negatives;
+    CheckNonNegative(key, it->second);
   }
-  it->second.positives += delta_positives;
-  it->second.negatives += delta_negatives;
-  // Full CHECK (not DCHECK) to match ApplyDelta: this is the streaming
-  // daemon's apply path, and a negative count here means durable state has
-  // diverged — release builds must not silently accept it.
-  REMEDY_CHECK(it->second.positives >= 0 && it->second.negatives >= 0)
-      << "delta drove region key " << key << " negative";
+  if (missing == 0) return;
+
+  // Backward merge of the new keys: walk the old entries and the deltas
+  // from the top, moving each old entry up by the number of new keys above
+  // it. Deltas whose key exists were applied above and are skipped; once
+  // every new key is placed, the remaining prefix is already in position.
+  size_t read = entries_.size();
+  size_t write = read + missing;
+  size_t next = deltas.entries_.size();
+  entries_.resize(write);
+  while (write > read) {
+    const Entry& delta = deltas.entries_[next - 1];
+    if (read > 0 && entries_[read - 1].first >= delta.first) {
+      if (entries_[read - 1].first == delta.first) --next;
+      entries_[--write] = entries_[--read];
+    } else {
+      entries_[--write] = delta;
+      --next;
+    }
+  }
 }
 
 RegionCounter::RegionCounter(const DataSchema& schema)

@@ -59,19 +59,21 @@ class NodeTable {
   // Dies when the key is absent.
   const RegionCounts& at(uint64_t key) const;
 
-  // Adds (delta_positives, delta_negatives) to the entry at `key`, which
-  // must already exist (the remedy deltas only ever touch populated
-  // regions). A count may reach zero but never goes negative; the entry is
-  // kept, so consumers must treat Total() == 0 entries as empty regions.
-  void ApplyDelta(uint64_t key, int64_t delta_positives,
-                  int64_t delta_negatives);
-
-  // ApplyDelta that inserts the entry (in key order) when `key` is absent —
-  // the streaming-ingest form, where a delta may describe a region no
-  // batch-counted row ever populated. O(n) on insert; amortized fine for
-  // the daemon's batched deltas, which mostly touch existing regions.
-  void UpsertDelta(uint64_t key, int64_t delta_positives,
-                   int64_t delta_negatives);
+  // Adds a signed-count table — typically one delta batch rolled up to this
+  // node, sorted and key-unique by construction — entry by entry: each
+  // delta lands on the entry with its key, in place, found by a galloping
+  // search from the previous hit (O(d log(n/d)) for d deltas over n
+  // entries). With `insert_missing` (the streaming-ingest form, where a
+  // delta may describe a region no batch-counted row ever populated) the
+  // keys this table lacks are inserted by one backward linear merge;
+  // without it (the remedy deltas only ever touch populated regions) a
+  // missing key dies. Entries whose counts reach zero are kept, so
+  // consumers must treat Total() == 0 entries as empty regions. Dies (full CHECK, release builds included) when a final count is
+  // negative: durable state has diverged. When `before` is non-null it
+  // receives, aligned with `deltas`, each key's counts before the merge
+  // (zero for inserted keys).
+  void AddDeltas(const NodeTable& deltas, bool insert_missing,
+                 std::vector<RegionCounts>* before = nullptr);
 
   const std::vector<Entry>& entries() const { return entries_; }
 

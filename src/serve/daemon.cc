@@ -15,6 +15,7 @@
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/pipeline_metrics.h"
+#include "common/trace.h"
 #include "data/shard_file.h"
 
 namespace remedy {
@@ -343,7 +344,10 @@ void ServeDaemon::ApplyLoop() {
     std::vector<std::pair<uint64_t, Status>> remedy_outcomes;
     {
       std::lock_guard<std::mutex> engine_lock(engine_mu_);
-      committed = CommitGroup(group, &applied, &remedy_outcomes);
+      {
+        REMEDY_TRACE_SPAN("serve/commit");
+        committed = CommitGroup(group, &applied, &remedy_outcomes);
+      }
       // External ingest refills the auto-remedy round budget. The refill
       // must precede PublishSnapshot: the publish below may consume a
       // round for the epoch this very ingest produced, and refilling
@@ -542,7 +546,10 @@ Status ServeDaemon::CommitGroup(
         return stage;
       }
     }
-    hierarchy_->ApplyDeltas(batch->deltas, /*insert_missing=*/true);
+    {
+      REMEDY_TRACE_SPAN("serve/apply");
+      hierarchy_->ApplyDeltas(batch->deltas, /*insert_missing=*/true);
+    }
     leaf_census_stale_ = true;
     last_committed_sequence_ = sequence;
     ++batches_since_checkpoint_;
@@ -557,60 +564,54 @@ Status ServeDaemon::CommitGroup(
 }
 
 void ServeDaemon::PublishSnapshot() {
+  REMEDY_TRACE_SPAN("serve/publish");
   const PipelineMetrics& metrics = PipelineMetrics::Get();
   ++epoch_;
   const bool identify =
       options_.identify_every_epochs > 0 &&
       (last_ibs_epoch_ == 0 ||
        epoch_ % static_cast<uint64_t>(options_.identify_every_epochs) == 0);
+  auto snapshot = std::make_shared<EpochSnapshot>();
   if (identify) {
-    std::vector<BiasedRegion> ibs;
-    if (options_.identify_mode == IdentifyMode::kIncremental) {
-      // Bit-identical to the full sweep below (see IncrementalIbsState);
-      // only the cost moves. The state self-falls-back to a full pass on
-      // cold cache, recovery, or anything it cannot prove incremental.
-      ibs = ibs_state_.Identify(*hierarchy_, options_.ibs);
+    REMEDY_TRACE_SPAN("serve/identify");
+    // Both modes run the one identify state: kFull forces its full pass,
+    // kIncremental lets it go incremental whenever it can prove the result
+    // bit-identical (it self-falls-back on cold cache, recovery, or
+    // anything else it cannot prove).
+    if (options_.identify_mode == IdentifyMode::kFull) {
+      ibs_state_.Invalidate("identify_mode_full");
+    }
+    // Moved, not copied: the snapshot owns this epoch's IBS from here on.
+    snapshot->ibs = ibs_state_.Identify(*hierarchy_, options_.ibs);
+    {
       const IncrementalIdentifyStats& st = ibs_state_.last_stats();
       std::lock_guard<std::mutex> lock(mu_);
       identify_health_.last_incremental = st.incremental;
       identify_health_.dirty_leaves = st.dirty_leaves;
       identify_health_.rescored_regions = st.rescored_regions;
       identify_health_.cached_regions = st.cached_regions;
+      identify_health_.full_node_rescores = st.full_node_rescores;
       identify_health_.fallback_reason = ibs_state_.last_fallback_reason();
-    } else {
-      for (uint32_t mask : ScopeMasks(*hierarchy_, options_.ibs.scope)) {
-        std::vector<BiasedRegion> in_node =
-            IdentifyIbsInNode(*hierarchy_, mask, options_.ibs);
-        ibs.insert(ibs.end(), in_node.begin(), in_node.end());
-      }
     }
     // The online monitor: digest the identified subgroup set (node mask +
     // region key per subgroup) and flag epoch-over-epoch changes.
-    uint64_t digest = 0xcbf29ce484222325ull;
-    for (const BiasedRegion& region : ibs) {
-      const uint32_t mask = region.pattern.DeterministicMask();
-      uint8_t bytes[12];
-      for (int i = 0; i < 4; ++i) bytes[i] = (mask >> (8 * i)) & 0xff;
-      const uint64_t key = counter_.KeyFor(region.pattern, mask);
-      for (int i = 0; i < 8; ++i) bytes[4 + i] = (key >> (8 * i)) & 0xff;
-      digest = Fnv1a64(bytes, sizeof(bytes), digest);
-    }
+    const uint64_t digest = ibs_state_.SubgroupKeyDigest();
     if (last_ibs_epoch_ != 0 && digest != last_ibs_digest_) {
       monitor_alerts_.fetch_add(1, std::memory_order_relaxed);
       metrics.serve_monitor_alerts->Increment();
     }
-    last_ibs_ = std::move(ibs);
     last_ibs_digest_ = digest;
     last_ibs_epoch_ = epoch_;
+  } else if (const std::shared_ptr<const EpochSnapshot> previous = Snapshot()) {
+    snapshot->ibs = previous->ibs;  // carried over until the next identify
   }
 
-  auto snapshot = std::make_shared<EpochSnapshot>();
   snapshot->epoch = epoch_;
   snapshot->wal_sequence = last_committed_sequence_;
   snapshot->totals = hierarchy_->TotalCounts();
   snapshot->counts_digest = hierarchy_->CountsDigest();
-  snapshot->ibs = last_ibs_;
   snapshot->ibs_epoch = last_ibs_epoch_;
+  const bool ibs_nonempty = !snapshot->ibs.empty();
   if (RemedyEnabled()) {
     // Copy-on-write census: a publish with no committed leaf change (e.g. a
     // drained group whose batches all failed validation) shares the previous
@@ -642,7 +643,7 @@ void ServeDaemon::PublishSnapshot() {
   // IBS that fired. A round that commits publishes a new epoch, which
   // re-identifies and may trigger the next round; a round that plans
   // nothing publishes nothing, so the loop converges.
-  if (options_.auto_remedy && identify && !last_ibs_.empty()) {
+  if (options_.auto_remedy && identify && ibs_nonempty) {
     bool trigger = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -847,6 +848,8 @@ std::string ServeDaemon::HealthJson() const {
           ",\"rescored_regions\":" +
           std::to_string(identify.rescored_regions) +
           ",\"cached_regions\":" + std::to_string(identify.cached_regions) +
+          ",\"full_node_rescores\":" +
+          std::to_string(identify.full_node_rescores) +
           ",\"fallback_reason\":\"" + EscapeJson(identify.fallback_reason) +
           "\"},";
   json += "\"metrics\":" +

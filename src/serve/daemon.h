@@ -23,12 +23,13 @@ namespace remedy {
 
 struct CsvTable;
 
-// How PublishSnapshot maintains the per-epoch IBS (--identify-mode):
-// kFull re-scores the whole lattice every identify epoch; kIncremental
-// re-scores only the regions the epoch's deltas touched plus their
-// comparison neighborhoods (core/ibs_incremental.h), falling back to a
-// full sweep on recovery and cold starts. Output is bit-identical either
-// way — the mode only moves the per-epoch cost.
+// How PublishSnapshot maintains the per-epoch IBS (--identify-mode). Both
+// modes drive the daemon's one IncrementalIbsState (core/ibs_incremental.h):
+// kFull forces its full pass, re-scoring the whole lattice every identify
+// epoch; kIncremental re-scores only the regions the epoch's deltas touched
+// plus their comparison neighborhoods, falling back to a full sweep on
+// recovery and cold starts. Output is bit-identical either way — the mode
+// only moves the per-epoch cost.
 enum class IdentifyMode {
   kFull,
   kIncremental,
@@ -294,7 +295,6 @@ class ServeDaemon {
   uint64_t epoch_ = 0;
   uint64_t last_committed_sequence_ = 0;
   int64_t batches_since_checkpoint_ = 0;
-  std::vector<BiasedRegion> last_ibs_;
   uint64_t last_ibs_epoch_ = 0;
   uint64_t last_ibs_digest_ = 0;  // of the identified subgroup set
   std::atomic<int64_t> monitor_alerts_{0};
@@ -336,6 +336,7 @@ class ServeDaemon {
     int64_t dirty_leaves = 0;
     int64_t rescored_regions = 0;
     int64_t cached_regions = 0;
+    int64_t full_node_rescores = 0;  // whole-node re-sweeps, cutovers included
     std::string fallback_reason;
   };
   IdentifyHealth identify_health_;

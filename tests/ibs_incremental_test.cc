@@ -163,27 +163,120 @@ std::vector<Hierarchy::LeafDelta> RandomBatch(Hierarchy& hierarchy,
   return deltas;
 }
 
+// A census-sized batch against the hierarchy's CURRENT leaf table: about
+// nine in ten existing leaves get an ingest, a bounded retraction or a
+// label flip, and a few never-seen leaves appear — the shape of a daemon's
+// seed census or a bulk backfill. Touching that much of the leaf node
+// touches at least as large a share of every coarser node, so every node
+// crosses the cutover share.
+std::vector<Hierarchy::LeafDelta> CensusBatch(Hierarchy& hierarchy,
+                                              Rng& rng) {
+  const NodeTable& leaves = hierarchy.NodeCounts(hierarchy.LeafMask());
+  std::map<uint64_t, std::pair<int64_t, int64_t>> net;
+  for (const auto& [key, counts] : leaves) {
+    if (!rng.Bernoulli(0.9)) continue;
+    auto& entry = net[key];
+    switch (rng.UniformInt(3)) {
+      case 0:  // ingest
+        entry.first += rng.UniformInt(5);
+        entry.second += rng.UniformInt(5);
+        break;
+      case 1:  // retraction, bounded by what is there
+        entry.first -= rng.UniformInt(static_cast<int>(counts.positives) + 1);
+        entry.second -= rng.UniformInt(static_cast<int>(counts.negatives) + 1);
+        break;
+      default:  // label flip of one positive, when there is one
+        if (counts.positives > 0) {
+          entry.first -= 1;
+          entry.second += 1;
+        }
+    }
+  }
+  for (int fresh = 0; fresh < 3; ++fresh) {
+    Pattern pattern(hierarchy.NumProtected());
+    for (int i = 0; i < hierarchy.NumProtected(); ++i) {
+      pattern.SetValue(i, rng.UniformInt(hierarchy.counter().Cardinality(i)));
+    }
+    auto& entry =
+        net[hierarchy.counter().KeyFor(pattern, hierarchy.LeafMask())];
+    entry.first += 1 + rng.UniformInt(4);
+  }
+  std::vector<Hierarchy::LeafDelta> deltas;
+  for (const auto& [key, delta] : net) {
+    if (delta.first == 0 && delta.second == 0) continue;
+    deltas.push_back({key, delta.first, delta.second});
+  }
+  return deltas;
+}
+
+// Which incremental paths a parity stream exercised, summed over epochs.
+struct StreamPaths {
+  int64_t expanded_regions = 0;    // the frontier-expansion merge ran
+  int64_t full_node_rescores = 0;  // whole-node re-sweeps (drift, cutover)
+};
+
 // Runs `epochs` random batches through one hierarchy, asserting per-epoch
-// parity of the incremental state against the from-scratch sweep.
-void RunParityStream(Hierarchy& hierarchy, const IbsParams& params,
-                     int epochs, uint64_t stream_seed,
-                     const std::string& where) {
+// parity of the incremental state against the from-scratch sweep. Every
+// `census_every`-th epoch (0 = never) applies a CensusBatch instead, and
+// that epoch must cut every node over: one whole-node re-sweep per node in
+// scope and no frontier expansion anywhere.
+StreamPaths RunParityStream(Hierarchy& hierarchy, const IbsParams& params,
+                            int epochs, uint64_t stream_seed,
+                            const std::string& where, int census_every = 0) {
   IncrementalIbsState state;
+  StreamPaths paths;
   Rng rng(stream_seed);
   for (int epoch = 0; epoch < epochs; ++epoch) {
-    hierarchy.ApplyDeltas(RandomBatch(hierarchy, rng),
+    const bool census = census_every > 0 && epoch % census_every == 0;
+    hierarchy.ApplyDeltas(census ? CensusBatch(hierarchy, rng)
+                                 : RandomBatch(hierarchy, rng),
                           /*insert_missing=*/true);
     std::vector<BiasedRegion> incremental = state.Identify(hierarchy, params);
     std::vector<BiasedRegion> full = FullSweep(hierarchy, params);
-    ExpectSameIbs(incremental, full,
-                  where + " epoch " + std::to_string(epoch));
+    const std::string at = where + " epoch " + std::to_string(epoch);
+    ExpectSameIbs(incremental, full, at);
+    const IncrementalIdentifyStats& stats = state.last_stats();
     if (epoch > 0) {
-      EXPECT_TRUE(state.last_stats().incremental)
-          << where << " epoch " << epoch
-          << " unexpectedly fell back: " << state.last_fallback_reason();
+      EXPECT_TRUE(stats.incremental)
+          << at << " unexpectedly fell back: " << state.last_fallback_reason();
+      if (census) {
+        EXPECT_EQ(stats.full_node_rescores,
+                  static_cast<int64_t>(ScopeMasks(hierarchy, params.scope)
+                                           .size()))
+            << at << ": a census-sized epoch must cut every node over";
+        EXPECT_EQ(stats.expanded_regions, 0) << at;
+      }
     }
-    if (::testing::Test::HasFatalFailure()) return;
+    paths.expanded_regions += stats.expanded_regions;
+    paths.full_node_rescores += stats.full_node_rescores;
+    if (::testing::Test::HasFatalFailure()) break;
   }
+  return paths;
+}
+
+// A two-attribute lattice with `card_a` x `card_b` leaves, every cell
+// holding 5–14 positives and 5–14 negatives, plus one strongly positive
+// corner so some region is biased. Wide enough that a batch touching one
+// or two cells stays below the cutover share of every node, which is what
+// the tests of the incremental (non-cutover) paths need.
+Dataset WideGrid(int card_a, int card_b, uint64_t seed) {
+  std::vector<std::string> a_values;
+  std::vector<std::string> b_values;
+  for (int i = 0; i < card_a; ++i) a_values.push_back("a" + std::to_string(i));
+  for (int i = 0; i < card_b; ++i) b_values.push_back("b" + std::to_string(i));
+  std::vector<AttributeSchema> attributes = {AttributeSchema("a", a_values),
+                                            AttributeSchema("b", b_values)};
+  Dataset data(DataSchema(std::move(attributes), {0, 1}));
+  Rng rng(seed);
+  for (int a = 0; a < card_a; ++a) {
+    for (int b = 0; b < card_b; ++b) {
+      const int positives = 5 + rng.UniformInt(10) + (a == 0 && b == 0 ? 40 : 0);
+      const int negatives = 5 + rng.UniformInt(10);
+      for (int i = 0; i < positives; ++i) data.AddRow({a, b}, 1);
+      for (int i = 0; i < negatives; ++i) data.AddRow({a, b}, 0);
+    }
+  }
+  return data;
 }
 
 IbsParams TestParams() {
@@ -205,8 +298,63 @@ TEST(IbsIncrementalTest, LongStreamParityOnRandomSchema) {
   Dataset data = GenerateSynthetic(spec, 7);
   Hierarchy hierarchy(data);
   ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
-  RunParityStream(hierarchy, TestParams(), kLongStreamEpochs, 0x5eed,
-                  "long-stream");
+  const StreamPaths paths = RunParityStream(
+      hierarchy, TestParams(), kLongStreamEpochs, 0x5eed, "long-stream");
+  // Small batches on this lattice stay below the cutover share of the
+  // leaf node, so the frontier-expansion merge is what this stream checks.
+  EXPECT_GT(paths.expanded_regions, 0);
+}
+
+TEST(IbsIncrementalTest, CensusSizedEpochsCutOverAndStayDigestIdentical) {
+  // Census-sized epochs (most leaves touched) interleaved with small ones:
+  // the cutover epochs re-sweep every node whole, the small ones go back to
+  // the dirty-region paths, and every epoch stays bit-identical to the full
+  // sweep — the cutover changes only the cost.
+  for (int seed = 0; seed < kSpecSeeds; ++seed) {
+    Rng spec_rng(0xce05u + static_cast<uint64_t>(seed));
+    SyntheticSpec spec = RandomSpec(spec_rng);
+    spec.num_rows = 500;
+    Dataset data = GenerateSynthetic(spec, 300 + seed);
+    Hierarchy hierarchy(data);
+    ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+    const StreamPaths paths =
+        RunParityStream(hierarchy, TestParams(), kShortStreamEpochs,
+                        0xc0u + static_cast<uint64_t>(seed),
+                        "census spec " + std::to_string(seed),
+                        /*census_every=*/5);
+    EXPECT_GT(paths.full_node_rescores, 0);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(IbsIncrementalTest, ColdStartCensusCutsOverEveryNode) {
+  // The daemon's seed path: an empty lattice is identified (cold, full),
+  // then one batch carries the whole census. The incremental pass must cut
+  // every node over and land exactly on a fresh full sweep.
+  Rng spec_rng(0x5eedce);
+  SyntheticSpec spec = RandomSpec(spec_rng);
+  spec.num_rows = 800;
+  Dataset data = GenerateSynthetic(spec, 41);
+  Hierarchy counted(data);
+  const NodeTable& leaves = counted.NodeCounts(counted.LeafMask());
+  std::vector<Hierarchy::LeafDelta> census;
+  for (const auto& [key, counts] : leaves) {
+    census.push_back({key, counts.positives, counts.negatives});
+  }
+
+  Hierarchy hierarchy(data.schema(), NodeTable(), RegionCounts());
+  ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+  const IbsParams params = TestParams();
+  IncrementalIbsState state;
+  EXPECT_TRUE(state.Identify(hierarchy, params).empty());
+  hierarchy.ApplyDeltas(census, /*insert_missing=*/true);
+  std::vector<BiasedRegion> incremental = state.Identify(hierarchy, params);
+  EXPECT_TRUE(state.last_stats().incremental);
+  EXPECT_EQ(state.last_stats().full_node_rescores,
+            static_cast<int64_t>(ScopeMasks(hierarchy, params.scope).size()));
+  EXPECT_EQ(state.last_stats().expanded_regions, 0);
+  EXPECT_FALSE(incremental.empty());
+  ExpectSameIbs(incremental, FullSweep(hierarchy, params), "cold census");
 }
 
 TEST(IbsIncrementalTest, RandomSchemasBothAlgorithms) {
@@ -306,14 +454,42 @@ TEST(IbsIncrementalTest, OrdinalMetricsAndFractionalThreshold) {
   RunParityStream(hierarchy, params, kShortStreamEpochs, 0xbead, "ordinal");
 }
 
+TEST(IbsIncrementalTest, OrdinalMetricsFrontierOnAWideLattice) {
+  // The ordinal frontier again, on a lattice wide enough (60 x 3 leaves)
+  // that a small batch stays below the leaf node's cutover share: the
+  // |code_a - code_b| expansion itself must run and stay bit-identical.
+  std::vector<std::string> ages;
+  for (int i = 0; i < 60; ++i) ages.push_back("a" + std::to_string(i));
+  std::vector<AttributeSchema> attributes = {
+      AttributeSchema("age", ages, /*ordinal=*/true),
+      AttributeSchema("group", {"g0", "g1", "g2"}),
+  };
+  DataSchema schema(std::move(attributes), {0, 1});
+  Dataset data(schema);
+  Rng rows(0x0dde);
+  for (int i = 0; i < 3000; ++i) {
+    const int age = rows.UniformInt(60);
+    const int group = rows.UniformInt(3);
+    data.AddRow({age, group}, rows.Bernoulli(0.2 + 0.01 * age) ? 1 : 0);
+  }
+  Hierarchy hierarchy(data);
+  ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+  IbsParams params = TestParams();
+  params.algorithm = IbsAlgorithm::kNaive;
+  params.distance_threshold = 1.5;
+  const StreamPaths paths = RunParityStream(
+      hierarchy, params, kShortStreamEpochs, 0xbeae, "wide ordinal");
+  EXPECT_GT(paths.expanded_regions, 0);
+}
+
 TEST(IbsIncrementalTest, WholeNodeRegimeTotalsDriftAndSteadyFlips) {
-  // T = 8 >= every node diameter of SmallSchema: r_n = totals - r
-  // everywhere. Flip-only batches keep the totals steady (only dirty
+  // T = 8 >= every node diameter of a two-attribute lattice: r_n = totals
+  // - r everywhere. Flip-only batches keep the totals steady (only dirty
   // regions re-score); ingest batches drift them (whole nodes re-sweep).
-  // Both paths must stay bit-identical to the full sweep.
-  Dataset data = remedy::testing::GridDataset({{{40, 10}, {10, 10}},
-                                               {{10, 10}, {10, 10}},
-                                               {{10, 10}, {12, 8}}});
+  // Both paths must stay bit-identical to the full sweep. The 50 x 50 grid
+  // keeps the two flipped cells below the cutover share of every node.
+  constexpr int kCard = 50;
+  Dataset data = WideGrid(kCard, kCard, 0x9a1d);
   Hierarchy hierarchy(data);
   ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
   IbsParams params = TestParams();
@@ -322,7 +498,8 @@ TEST(IbsIncrementalTest, WholeNodeRegimeTotalsDriftAndSteadyFlips) {
   (void)state.Identify(hierarchy, params);  // warm the cache
 
   // Remedy-style flips: totals steady, per-region counts move.
-  hierarchy.ApplyDeltas({{0, -3, 3}, {5, 3, -3}}, /*insert_missing=*/true);
+  hierarchy.ApplyDeltas({{0 * kCard + 0, -3, 3}, {1 * kCard + 1, 3, -3}},
+                        /*insert_missing=*/true);
   std::vector<BiasedRegion> incremental = state.Identify(hierarchy, params);
   ExpectSameIbs(incremental, FullSweep(hierarchy, params), "steady flips");
   EXPECT_TRUE(state.last_stats().incremental);
@@ -330,7 +507,7 @@ TEST(IbsIncrementalTest, WholeNodeRegimeTotalsDriftAndSteadyFlips) {
       << "steady totals must not trigger whole-node re-sweeps";
 
   // Ingest: the totals drift, every whole-node neighborhood moves.
-  hierarchy.ApplyDeltas({{1, 7, 0}}, /*insert_missing=*/true);
+  hierarchy.ApplyDeltas({{0 * kCard + 1, 7, 0}}, /*insert_missing=*/true);
   incremental = state.Identify(hierarchy, params);
   ExpectSameIbs(incremental, FullSweep(hierarchy, params), "totals drift");
   EXPECT_TRUE(state.last_stats().incremental);
@@ -393,9 +570,9 @@ TEST(IbsIncrementalTest, FallbackReasonsCoverTheLadder) {
 }
 
 TEST(IbsIncrementalTest, StatsAccountDirtyAndExpandedRegions) {
-  Dataset data = remedy::testing::GridDataset({{{30, 10}, {10, 10}},
-                                               {{10, 10}, {10, 10}},
-                                               {{10, 10}, {10, 10}}});
+  // 5 x 5 leaves: one dirty leaf is 4% of the leaf node, below the cutover
+  // share, so the leaf takes the frontier-expansion path.
+  Dataset data = WideGrid(5, 5, 0x57a7);
   Hierarchy hierarchy(data);
   ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
   const IbsParams params = TestParams();
@@ -446,6 +623,35 @@ Hierarchy::LeafDelta Delta(int a, int b, int64_t dp, int64_t dn) {
   return {static_cast<uint64_t>(a * 2 + b), dp, dn};
 }
 
+// Pulls "key":"value" or "key":value out of the daemon's health JSON.
+std::string HealthField(const std::string& json, const std::string& key) {
+  const std::string quoted = "\"" + key + "\":";
+  const size_t at = json.find(quoted);
+  if (at == std::string::npos) return "";
+  size_t begin = at + quoted.size();
+  size_t end;
+  if (json[begin] == '"') {
+    ++begin;
+    end = json.find('"', begin);
+  } else {
+    end = json.find_first_of(",}", begin);
+  }
+  return json.substr(begin, end - begin);
+}
+
+// The monitor's view of an IBS: (node mask, region key) per subgroup, in
+// output order.
+std::vector<std::pair<uint32_t, uint64_t>> SubgroupKeys(
+    const std::vector<BiasedRegion>& ibs, const DataSchema& schema) {
+  const RegionCounter counter(schema);
+  std::vector<std::pair<uint32_t, uint64_t>> keys;
+  for (const BiasedRegion& region : ibs) {
+    const uint32_t mask = region.pattern.DeterministicMask();
+    keys.emplace_back(mask, counter.KeyFor(region.pattern, mask));
+  }
+  return keys;
+}
+
 TEST(IbsIncrementalServeTest, DaemonModesProduceIdenticalIbs) {
   const DataSchema schema = SmallSchema();
   auto full = ServeDaemon::Start(
@@ -456,6 +662,10 @@ TEST(IbsIncrementalServeTest, DaemonModesProduceIdenticalIbs) {
   ASSERT_TRUE(incremental.ok()) << incremental.status();
 
   Rng rng(0x1ce);
+  // Epoch 1 (the empty start) identified an empty set; alerts count the
+  // identify epochs after it whose subgroup set differs from the last.
+  std::vector<std::pair<uint32_t, uint64_t>> previous_keys;
+  int expected_alerts = 0;
   for (int batch = 0; batch < 25; ++batch) {
     std::vector<Hierarchy::LeafDelta> deltas;
     for (int a = 0; a < 3; ++a) {
@@ -475,7 +685,28 @@ TEST(IbsIncrementalServeTest, DaemonModesProduceIdenticalIbs) {
     EXPECT_EQ(IbsSetDigest(full.value()->QueryIbs()),
               IbsSetDigest(incremental.value()->QueryIbs()))
         << "identify modes diverged at batch " << batch;
+    // The monitor alerts exactly on the epochs whose subgroup set changed,
+    // in both modes.
+    std::vector<std::pair<uint32_t, uint64_t>> keys =
+        SubgroupKeys(incremental.value()->QueryIbs(), schema);
+    if (keys != previous_keys) ++expected_alerts;
+    previous_keys = std::move(keys);
+    EXPECT_EQ(HealthField(full.value()->HealthJson(), "monitor_alerts"),
+              std::to_string(expected_alerts))
+        << "batch " << batch;
+    EXPECT_EQ(HealthField(incremental.value()->HealthJson(), "monitor_alerts"),
+              std::to_string(expected_alerts))
+        << "batch " << batch;
   }
+  EXPECT_GT(expected_alerts, 0) << "the stream never moved the subgroup set";
+  // kFull is the same identify state forced through its full pass.
+  const std::string full_health = full.value()->HealthJson();
+  EXPECT_EQ(HealthField(full_health, "fallback_reason"), "identify_mode_full")
+      << full_health;
+  EXPECT_EQ(HealthField(full_health, "last_epoch_incremental"), "false");
+  EXPECT_EQ(HealthField(incremental.value()->HealthJson(),
+                        "last_epoch_incremental"),
+            "true");
   EXPECT_TRUE(full.value()->Stop().ok());
   EXPECT_TRUE(incremental.value()->Stop().ok());
 }
@@ -513,22 +744,6 @@ TEST(IbsIncrementalServeTest, LeafCensusIsCopiedOnWriteOnly) {
   EXPECT_NE(changed->leaf_counts.get(), dropped->leaf_counts.get());
   EXPECT_EQ(changed->leaf_counts->at(static_cast<uint64_t>(3)).positives, 3);
   EXPECT_TRUE(daemon.value()->Stop().ok());
-}
-
-// Pulls "key":"value" or "key":value out of the daemon's health JSON.
-std::string HealthField(const std::string& json, const std::string& key) {
-  const std::string quoted = "\"" + key + "\":";
-  const size_t at = json.find(quoted);
-  if (at == std::string::npos) return "";
-  size_t begin = at + quoted.size();
-  size_t end;
-  if (json[begin] == '"') {
-    ++begin;
-    end = json.find('"', begin);
-  } else {
-    end = json.find_first_of(",}", begin);
-  }
-  return json.substr(begin, end - begin);
 }
 
 TEST(IbsIncrementalServeTest, RecoveryForcesFullIdentifyThenIncremental) {

@@ -246,25 +246,51 @@ TEST(RegionCounterTest, ProjectKeyFromIntermediateNode) {
   }
 }
 
-TEST(NodeTableTest, ApplyDeltaAdjustsExistingEntry) {
+TEST(NodeTableTest, AddDeltasAdjustsExistingEntries) {
   NodeTable table({{5, {3, 4}}, {2, {1, 0}}, {9, {0, 7}}});
-  table.ApplyDelta(5, -2, 3);
+  table.AddDeltas(NodeTable({{5, {-2, 3}}}), /*insert_missing=*/false);
   EXPECT_EQ(table.at(5), (RegionCounts{1, 7}));
   // Neighbors untouched.
   EXPECT_EQ(table.at(2), (RegionCounts{1, 0}));
   EXPECT_EQ(table.at(9), (RegionCounts{0, 7}));
 }
 
-TEST(NodeTableTest, ApplyDeltaMayZeroButKeepsEntry) {
+TEST(NodeTableTest, AddDeltasMayZeroButKeepsEntry) {
   NodeTable table({{4, {2, 1}}});
-  table.ApplyDelta(4, -2, -1);
+  table.AddDeltas(NodeTable({{4, {-2, -1}}}), /*insert_missing=*/false);
   ASSERT_EQ(table.size(), 1u);
   EXPECT_EQ(table.at(4), (RegionCounts{0, 0}));
 }
 
-TEST(NodeTableTest, ApplyDeltaOnMissingKeyDies) {
+TEST(NodeTableTest, AddDeltasMergesNewKeysInKeyOrder) {
+  NodeTable table({{2, {1, 1}}, {5, {2, 0}}, {9, {0, 3}}});
+  std::vector<RegionCounts> before;
+  // New keys below, between and above the existing ones, plus a net-zero
+  // new key, which is inserted with zero counts.
+  table.AddDeltas(NodeTable({{0, {1, 0}},
+                             {2, {1, 1}},
+                             {3, {0, 0}},
+                             {9, {0, -3}},
+                             {12, {4, 4}}}),
+                  /*insert_missing=*/true, &before);
+  const std::vector<NodeTable::Entry> expected = {
+      {0, {1, 0}}, {2, {2, 2}}, {3, {0, 0}},
+      {5, {2, 0}}, {9, {0, 0}}, {12, {4, 4}}};
+  EXPECT_EQ(table.entries(), expected);
+  const std::vector<RegionCounts> expected_before = {
+      {0, 0}, {1, 1}, {0, 0}, {0, 3}, {0, 0}};
+  EXPECT_EQ(before, expected_before);
+}
+
+TEST(NodeTableTest, AddDeltasOnMissingKeyDiesWithoutInsertMissing) {
   NodeTable table({{4, {2, 1}}});
-  EXPECT_DEATH(table.ApplyDelta(3, 1, 0), "");
+  EXPECT_DEATH(table.AddDeltas(NodeTable({{3, {1, 0}}}), false), "not in");
+}
+
+TEST(NodeTableTest, AddDeltasNegativeFinalCountDies) {
+  NodeTable table({{4, {2, 1}}});
+  EXPECT_DEATH(table.AddDeltas(NodeTable({{4, {-3, 0}}}), false), "negative");
+  EXPECT_DEATH(table.AddDeltas(NodeTable({{7, {0, -1}}}), true), "negative");
 }
 
 TEST(RegionCounterTest, DatasetCounts) {

@@ -134,11 +134,13 @@ TEST(MaterializeLeafCountsTest, RejectsUnprotectedSchemaAndNegativeCounts) {
 
 NodeTable Applied(const NodeTable& base,
                   const std::vector<Hierarchy::LeafDelta>& deltas) {
-  NodeTable out = base;
+  std::vector<NodeTable::Entry> entries;
   for (const Hierarchy::LeafDelta& delta : deltas) {
-    out.UpsertDelta(delta.leaf_key, delta.delta_positives,
-                    delta.delta_negatives);
+    entries.push_back(
+        {delta.leaf_key, {delta.delta_positives, delta.delta_negatives}});
   }
+  NodeTable out = base;
+  out.AddDeltas(NodeTable(std::move(entries)), /*insert_missing=*/true);
   return out;
 }
 

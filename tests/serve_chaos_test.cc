@@ -406,6 +406,8 @@ TEST(WalKillPointMatrixTest, TruncationAtEveryOffsetRecoversValidPrefix) {
     EXPECT_EQ(hierarchy->CountsDigest(), expected_digest[survivors])
         << "cut at byte " << cut
         << ": recovery diverged from the uninterrupted run";
+    EXPECT_EQ(hierarchy->CountsDigest(), hierarchy->RecomputeCountsDigest())
+        << "cut at byte " << cut;
 
     // The repair truncated the torn bytes away, so a second replay (the
     // next restart) sees a clean log with the same survivors.
@@ -705,6 +707,15 @@ TEST(ServeDaemonTest, KillWithoutCheckpointReplaysWalOnRestart) {
   ASSERT_TRUE(daemon.ok()) << daemon.status();
   EXPECT_EQ(daemon.value()->Snapshot()->counts_digest, digest)
       << "WAL replay diverged from the pre-kill state";
+  // Independently of the daemon's maintained digest: a lattice counted off
+  // the same rows plus the same delta, digested by the from-scratch walk.
+  Dataset data = BatchDataset();
+  Hierarchy oracle(data);
+  ASSERT_TRUE(oracle.EagerBuild(1).ok());
+  oracle.ApplyDeltas({Delta(1, 0, 4, 4)}, /*insert_missing=*/true);
+  EXPECT_EQ(daemon.value()->Snapshot()->counts_digest,
+            oracle.RecomputeCountsDigest())
+      << "the replayed epoch's digest is not the recomputed oracle digest";
   EXPECT_TRUE(daemon.value()->Stop().ok());
 }
 

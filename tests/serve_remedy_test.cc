@@ -109,11 +109,13 @@ uint64_t SnapshotLeafDigest(const ServeDaemon& daemon) {
 // Applies a delta plan to a copy of `base` (the parity oracle's left side).
 NodeTable Applied(const NodeTable& base,
                   const std::vector<Hierarchy::LeafDelta>& deltas) {
-  NodeTable out = base;
+  std::vector<NodeTable::Entry> entries;
   for (const Hierarchy::LeafDelta& delta : deltas) {
-    out.UpsertDelta(delta.leaf_key, delta.delta_positives,
-                    delta.delta_negatives);
+    entries.push_back(
+        {delta.leaf_key, {delta.delta_positives, delta.delta_negatives}});
   }
+  NodeTable out = base;
+  out.AddDeltas(NodeTable(std::move(entries)), /*insert_missing=*/true);
   return out;
 }
 
