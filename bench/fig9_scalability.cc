@@ -24,6 +24,7 @@
 #include "common/timer.h"
 #include "core/counting_backend.h"
 #include "core/ibs_identify.h"
+#include "core/ibs_incremental.h"
 #include "core/remedy.h"
 #include "data/columnar.h"
 #include "datagen/adult.h"
@@ -104,14 +105,14 @@ double TimeEagerBuild(const Dataset& data, int threads, int repeats) {
   return best;
 }
 
+// `remedy` is RemedyDataset or its rebuild reference, ReferenceRemedyDataset.
 double TimeRemedy(const Dataset& data, RemedyTechnique technique,
-                  RemedyEngine engine) {
+                  decltype(&RemedyDataset) remedy = &RemedyDataset) {
   RemedyParams params;
   params.ibs.imbalance_threshold = 0.5;
   params.technique = technique;
-  params.engine = engine;
   WallTimer timer;
-  Dataset remedied = RemedyDataset(data, params).value();
+  Dataset remedied = remedy(data, params, nullptr).value();
   double seconds = timer.Seconds();
   (void)remedied;
   return seconds;
@@ -141,20 +142,17 @@ struct RemedyTimings {
 
 RemedyTimings TimeAllRemedies(const Dataset& data) {
   RemedyTimings t;
-  t.oversample = TimeRemedy(data, RemedyTechnique::kOversample,
-                            RemedyEngine::kIncremental);
-  t.undersample = TimeRemedy(data, RemedyTechnique::kUndersample,
-                             RemedyEngine::kIncremental);
-  t.preferential = TimeRemedy(data, RemedyTechnique::kPreferentialSampling,
-                              RemedyEngine::kIncremental);
-  t.massaging = TimeRemedy(data, RemedyTechnique::kMassaging,
-                           RemedyEngine::kIncremental);
+  t.oversample = TimeRemedy(data, RemedyTechnique::kOversample);
+  t.undersample = TimeRemedy(data, RemedyTechnique::kUndersample);
+  t.preferential = TimeRemedy(data, RemedyTechnique::kPreferentialSampling);
+  t.massaging = TimeRemedy(data, RemedyTechnique::kMassaging);
   t.rebuild_undersample = TimeRemedy(data, RemedyTechnique::kUndersample,
-                                     RemedyEngine::kRebuild);
-  t.rebuild_preferential = TimeRemedy(
-      data, RemedyTechnique::kPreferentialSampling, RemedyEngine::kRebuild);
+                                     &ReferenceRemedyDataset);
+  t.rebuild_preferential =
+      TimeRemedy(data, RemedyTechnique::kPreferentialSampling,
+                 &ReferenceRemedyDataset);
   t.rebuild_massaging = TimeRemedy(data, RemedyTechnique::kMassaging,
-                                   RemedyEngine::kRebuild);
+                                   &ReferenceRemedyDataset);
   return t;
 }
 
@@ -314,31 +312,6 @@ void CountingEngine(const Dataset& base, const BenchOptions& opts,
   table.Print(std::cout);
 }
 
-// Order-sensitive FNV-1a digest of an identification result: covers every
-// region's pattern and both count pairs, so two runs agree iff their IBS
-// outputs are identical region for region.
-uint64_t IbsDigest(const std::vector<BiasedRegion>& ibs) {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(ibs.size());
-  for (const BiasedRegion& region : ibs) {
-    for (int i = 0; i < region.pattern.Arity(); ++i) {
-      mix(static_cast<uint64_t>(
-          static_cast<int64_t>(region.pattern.Value(i))));
-    }
-    mix(static_cast<uint64_t>(region.counts.positives));
-    mix(static_cast<uint64_t>(region.counts.negatives));
-    mix(static_cast<uint64_t>(region.neighbor_counts.positives));
-    mix(static_cast<uint64_t>(region.neighbor_counts.negatives));
-  }
-  return h;
-}
-
 // (f) the large-row backend sweep: for each requested row count, stream an
 // Adult-schema instance (|X| = 8) into a columnar shard store — the full
 // Dataset never materializes — and identify its IBS once per counting
@@ -374,7 +347,7 @@ int SweepRowsBackends(const std::vector<int64_t>& rows_list,
       WallTimer timer;
       std::vector<BiasedRegion> ibs = IdentifyIbs(store, params).value();
       const double identify_s = timer.Seconds();
-      const uint64_t digest = IbsDigest(ibs);
+      const uint64_t digest = IbsSetDigest(ibs);
       if (kind == CountingBackendKind::kScalar) {
         reference_digest = digest;
       } else if (digest != reference_digest) {
@@ -453,14 +426,14 @@ int SweepOutOfCore(const std::vector<int64_t>& rows_list,
     WallTimer timer;
     std::vector<BiasedRegion> ibs = IdentifyIbs(store, params).value();
     const double identify_s = timer.Seconds();
-    const uint64_t digest = IbsDigest(ibs);
+    const uint64_t digest = IbsSetDigest(ibs);
     std::string match = "n/a";
     double matches_inmemory = -1.0;
     if (rows <= kInMemoryVerifyLimit) {
       ColumnarShardStore in_memory = GenerateSyntheticStore(spec, /*seed=*/42);
       std::vector<BiasedRegion> reference =
           IdentifyIbs(in_memory, params).value();
-      const bool ok = IbsDigest(reference) == digest;
+      const bool ok = IbsSetDigest(reference) == digest;
       matches_inmemory = ok ? 1.0 : 0.0;
       match = ok ? "yes" : "NO";
       if (!ok) {

@@ -64,9 +64,14 @@ void BM_CountLeaf(benchmark::State& state, CountingBackendKind kind) {
   state.SetItemsProcessed(state.iterations() * input.store.NumRows());
 }
 
-BENCHMARK_CAPTURE(BM_CountLeaf, scalar, CountingBackendKind::kScalar);
-BENCHMARK_CAPTURE(BM_CountLeaf, simd, CountingBackendKind::kSimd);
-BENCHMARK_CAPTURE(BM_CountLeaf, sharded, CountingBackendKind::kSharded);
+// Wall time, not main-thread CPU time: sharded counts on worker threads,
+// so CPU time would overstate its items/s.
+BENCHMARK_CAPTURE(BM_CountLeaf, scalar, CountingBackendKind::kScalar)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_CountLeaf, simd, CountingBackendKind::kSimd)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_CountLeaf, sharded, CountingBackendKind::kSharded)
+    ->UseRealTime();
 
 // NodeTable construction from shuffled entries: below the radix threshold
 // this is the std::sort path, above it the LSD radix sort.

@@ -7,7 +7,6 @@
 //                     [--technique ps|us|os|massage] [--tau-c 0.1] [--T 1]
 //   remedy_cli remedy <csv> --protected race,gender --out remedied.csv
 //                     [--technique ps|us|os|massage] [--tau-c 0.1] [--T 1]
-//                     [--remedy-backend rebuild|incremental|streaming]
 //                     [--report] [--report-json[=file]]
 //   remedy_cli identify <csv> --protected race,gender [--tau-c 0.1] [--T 1]
 //                     [--store-dir dir [--mmap]]
@@ -37,14 +36,6 @@
 //                                   output is byte-identical across all
 //                                   three (default: scalar)
 //   --threads n                     sharded-counting workers (0 = all CPUs)
-//
-// Remedy write path (remedy command; docs/REMEDY.md):
-//   --remedy-backend rebuild|incremental|streaming
-//       which RemedyBackend rewrites the dataset (default: incremental).
-//       rebuild and incremental are row-faithful and byte-identical to
-//       each other; streaming plans on the canonical materialization of
-//       the leaf counts (the daemon's form) and writes canonical rows.
-//       An unknown name exits 64. streaming does not support --report.
 //
 // Observability (any command):
 //   --trace-out=file.json    record tracing spans, write Chrome trace JSON
@@ -92,7 +83,6 @@
 #include "core/ibs_identify.h"
 #include "core/pipeline_report.h"
 #include "core/remedy.h"
-#include "core/remedy_backend.h"
 #include "data/columnar.h"
 #include "data/loader.h"
 #include "data/profile.h"
@@ -153,9 +143,6 @@ struct CliArgs {
   RemedyTechnique technique = RemedyTechnique::kPreferentialSampling;
   CountingBackendKind backend = CountingBackendKind::kScalar;
   int backend_threads = 0;
-  // Raw --remedy-backend value; parsed in RunRemedyCommand so an unknown
-  // name exits 64 (invalid argument) rather than 1 (usage).
-  std::string remedy_backend_name;
   uint64_t seed = 23;
   std::string trace_out;
   bool metrics_table = false;
@@ -247,7 +234,6 @@ void PrintUsage() {
       "  remedy_cli remedy <csv> --protected a,b[,..] --out file.csv\n"
       "             [--label col] [--positive v] [--tau-c x] [--T x]\n"
       "             [--technique ps|us|os|massage] [--seed n]\n"
-      "             [--remedy-backend rebuild|incremental|streaming]\n"
       "             [--report] [--report-json[=file]]\n"
       "  remedy_cli identify <csv> --protected a,b[,..] [--label col]\n"
       "             [--positive v] [--tau-c x] [--T x]\n"
@@ -331,8 +317,6 @@ CliArgs ParseArgs(int argc, char** argv) {
       args.seed = static_cast<uint64_t>(std::strtoull(value->c_str(), nullptr, 10));
     } else if (flag == "--technique" && (value = value_of())) {
       if (!ParseTechnique(*value, &args.technique)) return args;
-    } else if (flag == "--remedy-backend" && (value = value_of())) {
-      args.remedy_backend_name = *value;
     } else if (flag == "--backend" && (value = value_of())) {
       StatusOr<CountingBackendKind> parsed = ParseCountingBackend(*value);
       if (!parsed.ok()) {
@@ -401,10 +385,6 @@ CliArgs ParseArgs(int argc, char** argv) {
   }
   if (!args.store_dir.empty() && args.command != "identify") {
     std::fprintf(stderr, "--store-dir is an identify flag\n");
-    return args;
-  }
-  if (!args.remedy_backend_name.empty() && args.command != "remedy") {
-    std::fprintf(stderr, "--remedy-backend is a remedy flag\n");
     return args;
   }
   args.valid = args.command == "audit" || args.command == "plan" ||
@@ -583,28 +563,6 @@ int RunRemedyCommand(const CliArgs& args, const Dataset& data) {
   params.technique = args.technique;
   params.seed = args.seed;
 
-  // Resolve --remedy-backend here (not in ParseArgs) so an unknown name
-  // exits 64 like every other invalid-argument error, with the suggestion
-  // list from ParseRemedyBackend in the message.
-  RemedyBackendKind backend_kind = RemedyBackendKind::kIncremental;
-  if (!args.remedy_backend_name.empty()) {
-    StatusOr<RemedyBackendKind> parsed =
-        ParseRemedyBackend(args.remedy_backend_name);
-    if (!parsed.ok()) return Fail("bad --remedy-backend", parsed.status());
-    backend_kind = parsed.value();
-  }
-  if (backend_kind == RemedyBackendKind::kStreaming &&
-      (args.report || args.report_json)) {
-    return Fail("bad --remedy-backend",
-                InvalidArgumentError(
-                    "the streaming backend plans on leaf counts and cannot "
-                    "produce an audited before/after report; use "
-                    "--remedy-backend rebuild or incremental with --report"));
-  }
-  params.engine = backend_kind == RemedyBackendKind::kRebuild
-                      ? RemedyEngine::kRebuild
-                      : RemedyEngine::kIncremental;
-
   Dataset remedied;
   RemedyStats stats;
   if (args.report || args.report_json) {
@@ -625,18 +583,14 @@ int RunRemedyCommand(const CliArgs& args, const Dataset& data) {
       }
     }
   } else {
-    std::unique_ptr<RemedyBackend> backend = RemedyBackend::Create(backend_kind);
-    RemedySource source;
-    source.dataset = &data;
-    StatusOr<Dataset> result = backend->Remedy(source, params, &stats);
+    StatusOr<Dataset> result = RemedyDataset(data, params, &stats);
     if (!result.ok()) return Fail("remedy failed", result.status());
     remedied = std::move(result).value();
   }
   std::printf(
-      "remedied %d regions (skipped %d) via the %s backend: +%lld / -%lld "
-      "instances, %lld labels flipped; %d -> %d rows\n",
+      "remedied %d regions (skipped %d): +%lld / -%lld instances, %lld "
+      "labels flipped; %d -> %d rows\n",
       stats.regions_processed, stats.regions_skipped,
-      RemedyBackendName(backend_kind),
       static_cast<long long>(stats.instances_added),
       static_cast<long long>(stats.instances_removed),
       static_cast<long long>(stats.labels_flipped), data.NumRows(),

@@ -25,13 +25,11 @@
 //
 // Remedy flags (docs/REMEDY.md):
 //   --remedy TECH      after ingest drains, plan + commit one remedy
-//                      round through the configured backend (TECH is
-//                      ps|us|os|massage)
+//                      round (TECH is ps|us|os|massage)
 //   --auto-remedy      monitor policy hook: every identify epoch with a
 //                      non-empty IBS triggers a remedy round on a
 //                      dedicated thread, up to --remedy-rounds per quiet
 //                      period (ingest refills the budget)
-//   --remedy-backend B rebuild|incremental|streaming (default streaming)
 //   --remedy-seed N    RNG seed of the remedy planner (default 23)
 //   --remedy-rounds N  auto-remedy round budget (default 4)
 //   --kill-after-remedy  exit WITHOUT checkpointing once the remedy phase
@@ -69,7 +67,6 @@
 #include "common/csv.h"
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "core/remedy_backend.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -120,8 +117,7 @@ struct ServeArgs {
   std::string trace_out;
   bool remedy_once = false;
   bool kill_after_remedy = false;
-  std::string remedy_backend_name;  // parsed in Run: bad names exit 64
-  std::string identify_mode_name;   // parsed in Run: bad names exit 64
+  std::string identify_mode_name;  // parsed in Run: bad names exit 64
   ServeOptions options;
   LoaderOptions loader;
   bool protected_given = false;
@@ -136,7 +132,6 @@ void PrintUsage() {
       "  [--demo N] [--kill-after N] [--serve] [--health-out file]\n"
       "  [--trace-out file.json]\n"
       "  [--remedy ps|us|os|massage] [--auto-remedy]\n"
-      "  [--remedy-backend rebuild|incremental|streaming]\n"
       "  [--remedy-seed N] [--remedy-rounds N] [--kill-after-remedy]\n"
       "  [--queue-capacity N] [--retry-after-ms MS] [--watchdog N]\n"
       "  [--checkpoint-every N] [--identify-every N]\n"
@@ -204,8 +199,6 @@ ServeArgs ParseArgs(int argc, char** argv) {
       args.remedy_once = true;
     } else if (arg == "--auto-remedy") {
       args.options.auto_remedy = true;
-    } else if (arg == "--remedy-backend") {
-      args.remedy_backend_name = value_of();
     } else if (arg == "--remedy-seed") {
       args.options.remedy.seed =
           static_cast<uint64_t>(std::atoll(value_of().c_str()));
@@ -261,8 +254,7 @@ ServeArgs ParseArgs(int argc, char** argv) {
                  "--kill-after-remedy needs --remedy or --auto-remedy\n");
     return args;
   }
-  if (args.remedy_once || args.options.auto_remedy ||
-      !args.remedy_backend_name.empty()) {
+  if (args.remedy_once || args.options.auto_remedy) {
     args.options.enable_remedy = true;
   }
   args.options.state_dir = args.state_dir;
@@ -372,12 +364,6 @@ void WriteTrace(const ServeArgs& args) {
 }
 
 int Run(ServeArgs& args, const sigset_t& signals) {
-  if (!args.remedy_backend_name.empty()) {
-    StatusOr<RemedyBackendKind> parsed =
-        ParseRemedyBackend(args.remedy_backend_name);
-    if (!parsed.ok()) return Fail("bad --remedy-backend", parsed.status());
-    args.options.remedy_backend = parsed.value();
-  }
   if (!args.identify_mode_name.empty()) {
     if (args.identify_mode_name == "full") {
       args.options.identify_mode = IdentifyMode::kFull;

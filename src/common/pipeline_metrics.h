@@ -18,8 +18,8 @@ namespace remedy {
 //
 // Naming convention: "<family>/<event>", lower_snake within segments.
 // Families: lattice (hierarchy construction), ibs (subgroup
-// identification), remedy (dataset repair), remedy_backend (the pluggable
-// remedy write path, including the daemon's streaming commits), loader +
+// identification), remedy (dataset repair), remedy_backend (the daemon's
+// online remedy path: PlanLeafRemedy plans and the WAL commits), loader +
 // csv (ingestion), threadpool, fault (fault injection), ml (model
 // training / tuning), fairness (bootstrap confidence intervals), wal (the
 // streaming service's write-ahead delta log), serve (the streaming
@@ -97,11 +97,9 @@ namespace remedy {
   X(remedy_massaging_labels_flipped, "remedy/massaging/labels_flipped",       \
     "rows", "labels flipped by the massaging technique")                      \
   X(remedy_incremental_passes, "remedy/incremental_passes", "passes",         \
-    "remedy passes served by the incremental (delta-maintained) engine")      \
-  X(remedy_rebuild_passes, "remedy/rebuild_passes", "passes",                 \
-    "remedy passes that fell back to a full lattice rebuild")                 \
+    "remedy passes run by RemedyDataset (delta-maintained engine)")           \
   X(remedy_backend_plans, "remedy_backend/plans", "plans",                    \
-    "delta plans computed by RemedyBackend::PlanDeltas")                      \
+    "delta plans computed by PlanLeafRemedy")                                 \
   X(remedy_backend_deltas_planned, "remedy_backend/deltas_planned",           \
     "deltas", "net leaf-count deltas emitted across all remedy plans")        \
   X(remedy_backend_streaming_commits, "remedy_backend/streaming_commits",     \
@@ -201,7 +199,7 @@ namespace remedy {
     "wall time of each incremental identify pass (full fallbacks "  \
     "not included)")                                                \
   X(remedy_backend_plan_ns, "remedy_backend/plan_ns", "ns",         \
-    "wall time of RemedyBackend::PlanDeltas (materialize, plan, "   \
+    "wall time of PlanLeafRemedy (materialize, plan, census, "      \
     "and diff)")
 
 // All pipeline instruments, registered once on first use. Call sites do

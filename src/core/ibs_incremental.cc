@@ -6,10 +6,10 @@
 
 #include "common/check.h"
 #include "common/clock.h"
+#include "common/hash.h"
 #include "common/pipeline_metrics.h"
 #include "common/trace.h"
 #include "core/imbalance.h"
-#include "data/shard_file.h"
 
 namespace remedy {
 namespace {
@@ -221,7 +221,7 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
 }
 
 uint64_t IncrementalIbsState::SubgroupKeyDigest() const {
-  uint64_t digest = 0xcbf29ce484222325ull;
+  uint64_t digest = kFnv1a64Offset;
   for (const NodeCache& cached : nodes_) {
     for (const auto& [key, region] : cached.biased) {
       uint8_t bytes[12];
@@ -240,12 +240,9 @@ void IncrementalIbsState::Invalidate(const std::string& reason) {
 }
 
 uint64_t IbsSetDigest(const std::vector<BiasedRegion>& ibs) {
-  uint64_t digest = 14695981039346656037ull;
+  uint64_t digest = kFnv1a64Offset;
   auto mix = [&digest](uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      digest ^= (value >> (8 * i)) & 0xff;
-      digest *= 1099511628211ull;
-    }
+    digest = Fnv1a64U64(digest, value);
   };
   auto mix_double = [&mix](double value) {
     uint64_t bits = 0;

@@ -69,8 +69,8 @@ double ScoreGap(double score, double target) {
 
 std::string PipelineReport::ToJson() const {
   std::ostringstream out;
-  out << "{\"technique\": \"" << JsonEscape(technique) << "\", \"engine\": \""
-      << JsonEscape(engine) << "\", \"seed\": " << seed
+  out << "{\"technique\": \"" << JsonEscape(technique)
+      << "\", \"seed\": " << seed
       << ", \"rows_before\": " << rows_before
       << ", \"rows_after\": " << rows_after
       << ", \"regions_identified\": " << regions.size()
@@ -107,8 +107,8 @@ std::string PipelineReport::ToJson() const {
 
 void PrintPipelineReport(const PipelineReport& report, std::ostream& out) {
   out << "Remedy pipeline report\n"
-      << "  technique: " << report.technique << " (" << report.engine
-      << " engine, seed " << report.seed << ")\n"
+      << "  technique: " << report.technique << " (seed " << report.seed
+      << ")\n"
       << "  rows: " << report.rows_before << " -> " << report.rows_after
       << " (+" << report.stats.instances_added << " / -"
       << report.stats.instances_removed << ", "
@@ -144,8 +144,6 @@ StatusOr<PipelineReport> RunAuditedRemedy(const Dataset& train,
   REMEDY_TRACE_SPAN("report/audited_remedy");
   PipelineReport report;
   report.technique = TechniqueName(params.technique);
-  report.engine = params.engine == RemedyEngine::kIncremental ? "incremental"
-                                                              : "rebuild";
   report.seed = params.seed;
   report.rows_before = train.NumRows();
 

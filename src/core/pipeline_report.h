@@ -40,7 +40,6 @@ struct RegionReportEntry {
 
 struct PipelineReport {
   std::string technique;
-  std::string engine;
   uint64_t seed = 0;
   int64_t rows_before = 0;
   int64_t rows_after = 0;

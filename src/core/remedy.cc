@@ -201,15 +201,25 @@ NodeActions MergeNodePlans(std::vector<RegionPlan>& plans,
   return actions;
 }
 
+Status CheckRemediable(const Dataset& train) {
+  if (train.NumRows() <= 0) {
+    return InvalidArgumentError("cannot remedy an empty dataset");
+  }
+  if (train.schema().NumProtected() == 0) {
+    return InvalidArgumentError("remedy needs protected attributes");
+  }
+  return OkStatus();
+}
+
 bool NeedsRanker(RemedyTechnique technique) {
   return technique == RemedyTechnique::kPreferentialSampling ||
          technique == RemedyTechnique::kMassaging;
 }
 
 // ---------------------------------------------------------------------------
-// Rebuild-from-scratch reference engine: the lattice is invalidated and the
-// dataset copied after every node that changed. Kept as the equivalence
-// oracle for the incremental engine (and for measuring its speedup).
+// Rebuild-from-scratch reference (ReferenceRemedyDataset): the lattice is
+// invalidated and the dataset copied after every node that changed. The
+// equivalence oracle of the incremental engine, and fig9's speedup baseline.
 // ---------------------------------------------------------------------------
 
 Dataset RemedyRebuild(const Dataset& train, const RemedyParams& params,
@@ -287,7 +297,7 @@ Dataset RemedyRebuild(const Dataset& train, const RemedyParams& params,
 }
 
 // ---------------------------------------------------------------------------
-// Incremental engine.
+// Incremental engine (RemedyDataset).
 // ---------------------------------------------------------------------------
 
 // Mutable view of the training copy the incremental engine remedies:
@@ -637,30 +647,15 @@ RegionUpdate ComputeUpdate(RemedyTechnique technique, int64_t positives,
 StatusOr<Dataset> RemedyDataset(const Dataset& train,
                                 const RemedyParams& params,
                                 RemedyStats* stats_out) {
-  if (train.NumRows() <= 0) {
-    return InvalidArgumentError("cannot remedy an empty dataset");
-  }
-  if (train.schema().NumProtected() == 0) {
-    return InvalidArgumentError("remedy needs protected attributes");
-  }
+  RETURN_IF_ERROR(CheckRemediable(train));
   REMEDY_FAULT_POINT("remedy/apply");
   REMEDY_TRACE_SPAN("remedy/dataset");
   const PipelineMetrics& metrics = PipelineMetrics::Get();
+  metrics.remedy_incremental_passes->Increment();
   // Run through a local stats block even when the caller passed none, so
   // the pipeline counters see the pass regardless.
   RemedyStats stats;
-  StatusOr<Dataset> remedied = [&]() -> StatusOr<Dataset> {
-    switch (params.engine) {
-      case RemedyEngine::kIncremental:
-        metrics.remedy_incremental_passes->Increment();
-        return RemedyIncremental(train, params, &stats);
-      case RemedyEngine::kRebuild:
-        metrics.remedy_rebuild_passes->Increment();
-        return RemedyRebuild(train, params, &stats);
-    }
-    REMEDY_CHECK(false) << "unknown engine";
-    return train;
-  }();
+  StatusOr<Dataset> remedied = RemedyIncremental(train, params, &stats);
   if (remedied.ok()) {
     metrics.remedy_regions_planned->Increment(stats.regions_processed +
                                               stats.regions_skipped);
@@ -686,6 +681,13 @@ StatusOr<Dataset> RemedyDataset(const Dataset& train,
   }
   if (stats_out != nullptr) *stats_out = stats;
   return remedied;
+}
+
+StatusOr<Dataset> ReferenceRemedyDataset(const Dataset& train,
+                                         const RemedyParams& params,
+                                         RemedyStats* stats) {
+  RETURN_IF_ERROR(CheckRemediable(train));
+  return RemedyRebuild(train, params, stats);
 }
 
 StatusOr<std::vector<PlannedAction>> PlanRemedy(const Dataset& train,

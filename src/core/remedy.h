@@ -20,24 +20,6 @@ enum class RemedyTechnique {
 
 std::string TechniqueName(RemedyTechnique technique);
 
-// Counting strategy of the remedy sweep. Both engines run the same planning
-// code with the same per-region RNG streams, so for any input they produce
-// a row-multiset-identical remedied dataset and identical RemedyStats; they
-// differ only in how the region counts and the working set are maintained.
-enum class RemedyEngine {
-  // Delta-maintained counts: the lattice is built once (EagerBuild), every
-  // node-visit's label flips / duplications / removals are applied to the
-  // affected NodeTable entries via Hierarchy::ApplyDeltas, removals are
-  // tombstoned and compacted once at the end, ranker scores are cached per
-  // row, and the read-only per-region planning of a node runs on a thread
-  // pool with a deterministic merge order.
-  kIncremental,
-  // Rebuild-from-scratch reference: invalidate the lattice and copy the
-  // dataset after every node that changed, re-rank borderline rows per
-  // region. The oracle the incremental engine is equivalence-tested against.
-  kRebuild,
-};
-
 struct RemedyParams {
   IbsParams ibs;
   RemedyTechnique technique = RemedyTechnique::kPreferentialSampling;
@@ -46,10 +28,9 @@ struct RemedyParams {
   // paper reports oversampling exhausting memory at scale; we reproduce the
   // growth but keep the process alive). Negative disables the cap.
   int64_t max_added_total = 2'000'000;
-  RemedyEngine engine = RemedyEngine::kIncremental;
-  // Worker threads for the incremental engine's per-region planning (and
-  // its one-off EagerBuild); 0 means ThreadPool::DefaultThreads(). The
-  // merge order is fixed, so the output is identical at any thread count.
+  // Worker threads for the per-region planning (and the one-off
+  // EagerBuild); 0 means ThreadPool::DefaultThreads(). The merge order is
+  // fixed, so the output is identical at any thread count.
   int planning_threads = 0;
 };
 
@@ -68,14 +49,31 @@ struct RemedyStats {
 // or are dominated by it), and adjusts each biased region's class
 // distribution to its neighboring region's imbalance score via Eq. (1).
 //
+// The lattice is built once (EagerBuild) and every node visit's label
+// flips / duplications / removals reach the counts as leaf deltas
+// (Hierarchy::ApplyDeltas); removals are tombstoned and compacted once at
+// the end, ranker scores are cached per row, and the read-only per-region
+// planning of a node runs on a thread pool with a deterministic merge.
+//
 // Returns the remedied copy of `train`; `train` itself is untouched. The
 // test set must never be passed here (the paper applies no remedy to it).
 // Fails with kInvalidArgument on an empty dataset or one without protected
-// attributes; pool failures inside the incremental engine surface as the
-// pool's Status.
+// attributes; pool failures surface as the pool's Status.
 StatusOr<Dataset> RemedyDataset(const Dataset& train,
                                 const RemedyParams& params,
                                 RemedyStats* stats = nullptr);
+
+// The test oracle of RemedyDataset: the same Algorithm 2 with the same
+// per-region planning and RNG streams, computed the slow, obvious way —
+// invalidate the lattice and copy the dataset after every node that
+// changed, re-rank borderline rows per region, plan serially. Its output
+// is row-for-row identical to RemedyDataset's, with identical stats
+// (tests/remedy_engine_test.cc). Called only by the equivalence tests and
+// fig9's rebuild columns; production code calls RemedyDataset. Same
+// failure modes; it records no pipeline metrics.
+StatusOr<Dataset> ReferenceRemedyDataset(const Dataset& train,
+                                         const RemedyParams& params,
+                                         RemedyStats* stats = nullptr);
 
 // Update counts of Def. 6 for one region, exposed for testing and for the
 // per-region reporting in the examples: positive delta = instances added

@@ -1,157 +1,32 @@
 #include "core/remedy_backend.h"
 
 #include <algorithm>
-#include <chrono>
-#include <utility>
+#include <string>
 
-#include "common/check.h"
+#include "common/clock.h"
+#include "common/hash.h"
 #include "common/pipeline_metrics.h"
-#include "data/shard_file.h"
 
 namespace remedy {
-namespace {
 
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Status ValidateSource(const RemedySource& source) {
-  if ((source.dataset == nullptr) == (source.leaf_counts == nullptr)) {
-    return InvalidArgumentError(
-        "RemedySource wants exactly one of dataset / leaf_counts");
-  }
-  if (source.leaf_counts != nullptr && source.schema == nullptr) {
-    return InvalidArgumentError(
-        "RemedySource::leaf_counts requires RemedySource::schema");
-  }
-  return OkStatus();
-}
-
-const DataSchema& SourceSchema(const RemedySource& source) {
-  return source.dataset != nullptr ? source.dataset->schema()
-                                   : *source.schema;
-}
-
-// The source's leaf census, whichever form it arrived in.
-NodeTable SourceLeafCounts(const RemedySource& source) {
-  return source.dataset != nullptr ? LeafCountsOf(*source.dataset)
-                                   : *source.leaf_counts;
-}
-
-int64_t TotalInstances(const NodeTable& counts) {
-  int64_t total = 0;
-  for (const auto& [key, region] : counts) total += region.Total();
-  return total;
-}
-
-// rebuild / incremental: the two batch engines of RemedyDataset behind the
-// backend API. Row-faithful on a dataset source; a count source is
-// materialized first.
-class BatchRemedyBackend : public RemedyBackend {
- public:
-  explicit BatchRemedyBackend(RemedyBackendKind kind) : kind_(kind) {}
-
-  RemedyBackendKind kind() const override { return kind_; }
-
-  StatusOr<Dataset> Remedy(const RemedySource& source,
-                           const RemedyParams& params,
-                           RemedyStats* stats) const override {
-    RETURN_IF_ERROR(ValidateSource(source));
-    RemedyParams engine_params = params;
-    engine_params.engine = kind_ == RemedyBackendKind::kRebuild
-                               ? RemedyEngine::kRebuild
-                               : RemedyEngine::kIncremental;
-    if (source.dataset != nullptr) {
-      return RemedyDataset(*source.dataset, engine_params, stats);
-    }
-    ASSIGN_OR_RETURN(
-        Dataset materialized,
-        MaterializeLeafCounts(*source.schema, *source.leaf_counts));
-    return RemedyDataset(materialized, engine_params, stats);
-  }
-
- private:
-  const RemedyBackendKind kind_;
-};
-
-// streaming: plans on the canonical materialization of the source's leaf
-// counts, so the plan is a pure function of the counts — exactly what the
-// daemon snapshots. The result is re-materialized from the remedied counts,
-// making the row output canonical too (count-faithful by construction).
-// Parity with the rebuild engine on the same materialized dataset follows
-// from the engines' proven byte-identity (tests/remedy_test.cc).
-class StreamingRemedyBackend : public RemedyBackend {
- public:
-  RemedyBackendKind kind() const override {
-    return RemedyBackendKind::kStreaming;
-  }
-
-  StatusOr<Dataset> Remedy(const RemedySource& source,
-                           const RemedyParams& params,
-                           RemedyStats* stats) const override {
-    RETURN_IF_ERROR(ValidateSource(source));
-    const DataSchema& schema = SourceSchema(source);
-    const NodeTable counts = SourceLeafCounts(source);
-    ASSIGN_OR_RETURN(Dataset canonical,
-                     MaterializeLeafCounts(schema, counts));
-    RemedyParams engine_params = params;
-    engine_params.engine = RemedyEngine::kIncremental;
-    ASSIGN_OR_RETURN(Dataset remedied,
-                     RemedyDataset(canonical, engine_params, stats));
-    return MaterializeLeafCounts(schema, LeafCountsOf(remedied));
-  }
-};
-
-}  // namespace
-
-const char* RemedyBackendName(RemedyBackendKind kind) {
-  switch (kind) {
-    case RemedyBackendKind::kRebuild:
-      return "rebuild";
-    case RemedyBackendKind::kIncremental:
-      return "incremental";
-    case RemedyBackendKind::kStreaming:
-      return "streaming";
-  }
-  return "unknown";
-}
-
-StatusOr<RemedyBackendKind> ParseRemedyBackend(const std::string& name) {
-  if (name == "rebuild") return RemedyBackendKind::kRebuild;
-  if (name == "incremental") return RemedyBackendKind::kIncremental;
-  if (name == "streaming") return RemedyBackendKind::kStreaming;
-  return InvalidArgumentError("unknown remedy backend '" + name +
-                              "' (want rebuild|incremental|streaming)");
-}
-
-std::unique_ptr<RemedyBackend> RemedyBackend::Create(RemedyBackendKind kind) {
-  switch (kind) {
-    case RemedyBackendKind::kRebuild:
-    case RemedyBackendKind::kIncremental:
-      return std::make_unique<BatchRemedyBackend>(kind);
-    case RemedyBackendKind::kStreaming:
-      return std::make_unique<StreamingRemedyBackend>();
-  }
-  REMEDY_CHECK(false) << "unhandled RemedyBackendKind";
-  return nullptr;
-}
-
-StatusOr<RemedyDeltaPlan> RemedyBackend::PlanDeltas(
-    const RemedySource& source, const RemedyParams& params) const {
-  RETURN_IF_ERROR(ValidateSource(source));
-  const PipelineMetrics& metrics = PipelineMetrics::Get();
-  const int64_t start_ns = NowNanos();
-  const NodeTable before = SourceLeafCounts(source);
+StatusOr<RemedyDeltaPlan> PlanLeafRemedy(const DataSchema& schema,
+                                         const NodeTable& leaf_counts,
+                                         const RemedyParams& params) {
+  const int64_t start_ns = MonotonicNanos();
   RemedyDeltaPlan plan;
-  if (TotalInstances(before) == 0) return plan;  // nothing to remedy yet
-  ASSIGN_OR_RETURN(Dataset remedied, Remedy(source, params, &plan.stats));
-  plan.deltas = DiffLeafCounts(before, LeafCountsOf(remedied));
+  int64_t total = 0;
+  for (const auto& [key, region] : leaf_counts) total += region.Total();
+  if (total == 0) return plan;  // nothing to remedy yet
+  ASSIGN_OR_RETURN(Dataset canonical,
+                   MaterializeLeafCounts(schema, leaf_counts));
+  ASSIGN_OR_RETURN(Dataset remedied,
+                   RemedyDataset(canonical, params, &plan.stats));
+  plan.deltas = DiffLeafCounts(leaf_counts, LeafCountsOf(remedied));
+  const PipelineMetrics& metrics = PipelineMetrics::Get();
   metrics.remedy_backend_plans->Increment();
   metrics.remedy_backend_deltas_planned->Increment(
       static_cast<int64_t>(plan.deltas.size()));
-  metrics.remedy_backend_plan_ns->Observe(NowNanos() - start_ns);
+  metrics.remedy_backend_plan_ns->Observe(MonotonicNanos() - start_ns);
   return plan;
 }
 
@@ -221,23 +96,16 @@ std::vector<Hierarchy::LeafDelta> DiffLeafCounts(const NodeTable& before,
 }
 
 uint64_t LeafCountsDigest(const NodeTable& counts) {
-  uint64_t digest = 0xcbf29ce484222325ull;
+  uint64_t digest = kFnv1a64Offset;
   for (const auto& [key, region] : counts) {
     // Digest the non-empty support only: a leaf drained to zero by deltas
     // stays in the table as an explicit {0,0} entry, but is unobservable —
     // it materializes no rows and a census never emits it — so it must
     // digest identically to its absence.
     if (region.Total() == 0) continue;
-    uint8_t bytes[24];
-    const uint64_t words[3] = {key,
-                               static_cast<uint64_t>(region.positives),
-                               static_cast<uint64_t>(region.negatives)};
-    for (int w = 0; w < 3; ++w) {
-      for (int i = 0; i < 8; ++i) {
-        bytes[8 * w + i] = static_cast<uint8_t>(words[w] >> (8 * i));
-      }
-    }
-    digest = Fnv1a64(bytes, sizeof(bytes), digest);
+    digest = Fnv1a64U64(digest, key);
+    digest = Fnv1a64U64(digest, static_cast<uint64_t>(region.positives));
+    digest = Fnv1a64U64(digest, static_cast<uint64_t>(region.negatives));
   }
   return digest;
 }

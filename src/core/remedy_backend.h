@@ -2,8 +2,6 @@
 #define REMEDY_CORE_REMEDY_BACKEND_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -15,49 +13,19 @@
 
 namespace remedy {
 
-// Runtime-selectable implementations of the remedy write path — the
-// CountingBackend seam applied to Algorithm 2 (see docs/REMEDY.md). One
-// API, three backends:
+// The daemon's remedy write path (see docs/REMEDY.md). The daemon holds
+// leaf counts, not rows, so a remedy is planned on the canonical
+// materialization of a pinned epoch's leaf census (MaterializeLeafCounts
+// below), run through RemedyDataset, and expressed as signed leaf-count
+// deltas that ServeDaemon::SubmitRemedy commits through the WAL-backed
+// group-commit path.
 //
-//   rebuild      the full-replan reference engine: invalidate the lattice
-//                and copy the dataset after every node that changed. The
-//                oracle the others are equivalence-tested against.
-//   incremental  the delta-maintained engine (PR 2): one EagerBuild, leaf
-//                deltas per node visit, tombstoned removals compacted at
-//                the end. Byte-identical output to rebuild, proven by the
-//                randomized suite in tests/remedy_test.cc.
-//   streaming    the daemon's online form: plans against a pinned epoch's
-//                leaf counts (no rows required) and emits the plan as
-//                signed leaf-count deltas, which ServeDaemon::SubmitRemedy
-//                commits through the WAL-backed group-commit path.
-//
-// The streaming backend is count-faithful, not row-faithful: the daemon
-// holds leaf counts, not rows, so it plans on the canonical materialization
-// of those counts (MaterializeLeafCounts below). Its post-commit counts are
-// byte-identical — same FNV-1a digest — to running the batch rebuild engine
-// on that same materialized dataset, for any thread count; the randomized
-// parity suite in tests/remedy_backend_test.cc pins this contract.
-enum class RemedyBackendKind {
-  kRebuild,
-  kIncremental,
-  kStreaming,
-};
-
-// Canonical lowercase name ("rebuild" / "incremental" / "streaming").
-const char* RemedyBackendName(RemedyBackendKind kind);
-
-// Parses a --remedy-backend= value; kInvalidArgument on anything unknown,
-// with the valid names listed in the message.
-StatusOr<RemedyBackendKind> ParseRemedyBackend(const std::string& name);
-
-// What a backend remedies. Exactly one of `dataset` / `leaf_counts` may be
-// set; `leaf_counts` (the count form the daemon uses) requires `schema`.
-// With a dataset, `schema` is ignored in favor of dataset->schema().
-struct RemedySource {
-  const Dataset* dataset = nullptr;
-  const DataSchema* schema = nullptr;
-  const NodeTable* leaf_counts = nullptr;
-};
+// The plan is count-faithful, not row-faithful: applied to the source
+// counts, its deltas land on counts byte-identical — same FNV-1a digest —
+// to running ReferenceRemedyDataset on that same materialized dataset, for
+// any thread count. The randomized parity suite in
+// tests/remedy_backend_test.cc pins this contract; RemedyDataset's own
+// equivalence with the reference is proven in tests/remedy_engine_test.cc.
 
 // A remedy expressed as net signed leaf-count deltas: applying `deltas` to
 // the source's leaf counts yields exactly the leaf counts of the remedied
@@ -67,32 +35,17 @@ struct RemedyDeltaPlan {
   RemedyStats stats;
 };
 
-class RemedyBackend {
- public:
-  virtual ~RemedyBackend() = default;
+// Plans one remedy over `leaf_counts`: materializes them once, runs
+// RemedyDataset, censuses the result once, and diffs. An empty census
+// yields an empty plan (a no-op, not an error) — the daemon may ask for a
+// remedy before any data arrived. Otherwise fails like
+// MaterializeLeafCounts / RemedyDataset.
+StatusOr<RemedyDeltaPlan> PlanLeafRemedy(const DataSchema& schema,
+                                         const NodeTable& leaf_counts,
+                                         const RemedyParams& params);
 
-  virtual RemedyBackendKind kind() const = 0;
-  const char* name() const { return RemedyBackendName(kind()); }
-
-  // Row form: the remedied dataset. The batch backends are row-faithful
-  // when given a dataset; the streaming backend always returns the
-  // canonical materialization of the remedied counts. Fails like
-  // RemedyDataset (kInvalidArgument on an empty source, etc.).
-  virtual StatusOr<Dataset> Remedy(const RemedySource& source,
-                                   const RemedyParams& params,
-                                   RemedyStats* stats = nullptr) const = 0;
-
-  // Delta form (shared across backends): runs Remedy and diffs the leaf
-  // counts. An empty source yields an empty plan (a no-op, not an error) —
-  // the daemon may ask for a remedy before any data arrived.
-  StatusOr<RemedyDeltaPlan> PlanDeltas(const RemedySource& source,
-                                       const RemedyParams& params) const;
-
-  static std::unique_ptr<RemedyBackend> Create(RemedyBackendKind kind);
-};
-
-// The canonical count→row materialization shared by the streaming backend
-// and its parity oracle: leaf keys ascending; per key, `positives` rows of
+// The canonical count→row materialization shared by PlanLeafRemedy and its
+// parity oracle: leaf keys ascending; per key, `positives` rows of
 // label 1 then `negatives` rows of label 0; protected values decoded from
 // the key; every non-protected attribute pinned to code 0. Deterministic in
 // the counts alone — independent of how the counts were produced.

@@ -370,7 +370,7 @@ Status ColumnarShardStoreBuilder::SpillShard(
     }
   }
   segments.emplace_back(shard.labels.data(), shard.num_rows);
-  uint64_t checksum = 0xcbf29ce484222325ull;
+  uint64_t checksum = kFnv1a64Offset;
   for (const auto& [data, bytes] : segments) {
     checksum = Fnv1a64(data, static_cast<size_t>(bytes), checksum);
     checksum = Fnv1a64(kZeroPad.data(), static_cast<size_t>(PadTo(bytes)),

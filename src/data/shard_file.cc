@@ -45,9 +45,7 @@ constexpr size_t kOffPayloadChecksum = 48;
 constexpr size_t kOffHeaderChecksum = 56;
 
 void MixU64(uint64_t& digest, uint64_t value) {
-  uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = (value >> (8 * i)) & 0xff;
-  digest = Fnv1a64(bytes, sizeof(bytes), digest);
+  digest = Fnv1a64U64(digest, value);
 }
 
 void MixString(uint64_t& digest, const std::string& text) {
@@ -58,17 +56,8 @@ void MixString(uint64_t& digest, const std::string& text) {
 
 }  // namespace
 
-uint64_t Fnv1a64(const uint8_t* data, size_t size, uint64_t seed) {
-  uint64_t digest = seed;
-  for (size_t i = 0; i < size; ++i) {
-    digest ^= data[i];
-    digest *= 0x100000001b3ull;
-  }
-  return digest;
-}
-
 uint64_t SchemaDigest(const DataSchema& schema) {
-  uint64_t digest = 0xcbf29ce484222325ull;
+  uint64_t digest = kFnv1a64Offset;
   MixU64(digest, static_cast<uint64_t>(schema.NumAttributes()));
   for (const AttributeSchema& attribute : schema.attributes()) {
     MixString(digest, attribute.name());

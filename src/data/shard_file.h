@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "data/schema.h"
 
@@ -36,10 +37,6 @@ inline constexpr uint32_t kShardFileVersion = 1;
 inline constexpr int64_t kShardFileAlign = 64;
 // Fixed header bytes before the per-column width array.
 inline constexpr int64_t kShardFileFixedBytes = 64;
-
-// FNV-1a 64 over a byte range; `seed` chains multi-segment digests.
-uint64_t Fnv1a64(const uint8_t* data, size_t size,
-                 uint64_t seed = 0xcbf29ce484222325ull);
 
 // Digest of the schema a store was spilled from: attribute names and value
 // dictionaries, the protected positions, and the label name. A store only

@@ -681,13 +681,8 @@ StatusOr<RemedyCommitResult> ServeDaemon::SubmitRemedy(
 
   // Plan on the calling thread against the pinned, immutable cut: the
   // apply thread keeps committing ingest while this runs.
-  const std::unique_ptr<RemedyBackend> backend =
-      RemedyBackend::Create(options_.remedy_backend);
-  RemedySource source;
-  source.schema = &schema_;
-  source.leaf_counts = pinned->leaf_counts.get();
   ASSIGN_OR_RETURN(RemedyDeltaPlan plan,
-                   backend->PlanDeltas(source, params));
+                   PlanLeafRemedy(schema_, *pinned->leaf_counts, params));
 
   RemedyCommitResult result;
   result.planned_epoch = pinned->epoch;
@@ -801,15 +796,12 @@ std::string ServeDaemon::HealthJson() const {
   std::string json = "{";
   json += "\"status\":\"" +
           std::string(is_read_only ? "read_only" : "serving") + "\",";
-  // Backend identity first, so operators can correlate this report with
-  // the recovery and parity guarantees of docs/SERVICE.md + docs/REMEDY.md.
+  // Counting backend and remedy state first, so operators can correlate
+  // this report with the guarantees of docs/SERVICE.md + docs/REMEDY.md.
   json += "\"counting_backend\":\"" + std::string(counting_backend_name_) +
           "\",";
-  json += "\"remedy_backend\":\"" +
-          std::string(RemedyEnabled()
-                          ? RemedyBackendName(options_.remedy_backend)
-                          : "disabled") +
-          "\",";
+  json += "\"remedy_enabled\":" +
+          std::string(RemedyEnabled() ? "true" : "false") + ",";
   json += "\"auto_remedy\":" +
           std::string(options_.auto_remedy ? "true" : "false") + ",";
   json += "\"remedy_commits\":" + std::to_string(remedy_commits) + ",";

@@ -10,8 +10,8 @@
 
 #include "common/check.h"
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "common/pipeline_metrics.h"
-#include "data/shard_file.h"
 
 namespace remedy {
 namespace {

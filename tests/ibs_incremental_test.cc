@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -512,6 +513,50 @@ TEST(IbsIncrementalTest, WholeNodeRegimeTotalsDriftAndSteadyFlips) {
   ExpectSameIbs(incremental, FullSweep(hierarchy, params), "totals drift");
   EXPECT_TRUE(state.last_stats().incremental);
   EXPECT_GT(state.last_stats().full_node_rescores, 0);
+}
+
+// ---------------------------------------------------------------------------
+// IbsSetDigest
+// ---------------------------------------------------------------------------
+
+TEST(IbsSetDigestTest, PinnedValuesCoverEveryFieldAndTheOrder) {
+  // The digest is compared across builds and files (fig9, the oocore
+  // suite, BENCH_*.json), so its values are part of its contract: these
+  // constants were produced before the digest moved onto common/hash.h.
+  std::vector<BiasedRegion> ibs;
+  EXPECT_EQ(IbsSetDigest(ibs), 0xa8c7f832281a39c5ull);
+
+  BiasedRegion a;
+  a.pattern = Pattern(std::vector<int>{1, Pattern::kWildcard, 0});
+  a.counts = {40, 10};
+  a.neighbor_counts = {15, 35};
+  a.ratio = 4.0;
+  a.neighbor_ratio = 15.0 / 35.0;
+  BiasedRegion b;
+  b.pattern = Pattern(std::vector<int>{Pattern::kWildcard, 2});
+  b.counts = {3, 27};
+  b.neighbor_counts = {60, 40};
+  b.ratio = 3.0 / 27.0;
+  b.neighbor_ratio = 1.5;
+
+  ibs = {a};
+  EXPECT_EQ(IbsSetDigest(ibs), 0x9b83064bab540e07ull);
+  ibs = {a, b};
+  EXPECT_EQ(IbsSetDigest(ibs), 0xf93129ca4c900d9aull);
+  ibs = {b, a};  // order is part of the identity
+  EXPECT_EQ(IbsSetDigest(ibs), 0xa5c99637bfff013aull);
+
+  // Each field moves the digest, the ratio bits included.
+  const uint64_t base = IbsSetDigest({a});
+  BiasedRegion changed = a;
+  changed.pattern = Pattern(std::vector<int>{1, 0, Pattern::kWildcard});
+  EXPECT_NE(IbsSetDigest({changed}), base) << "mask";
+  changed = a;
+  changed.neighbor_counts.negatives += 1;
+  EXPECT_NE(IbsSetDigest({changed}), base) << "neighbor counts";
+  changed = a;
+  changed.neighbor_ratio = std::nextafter(a.neighbor_ratio, 1.0);
+  EXPECT_NE(IbsSetDigest({changed}), base) << "ratio bits";
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "core/counting_backend.h"
 #include "core/hierarchy.h"
 #include "core/ibs_identify.h"
+#include "core/ibs_incremental.h"
 #include "core/region_counter.h"
 #include "data/columnar.h"
 #include "data/shard_file.h"
@@ -50,31 +51,6 @@ SyntheticSpec SmallSpec(Rng& rng, int rows) {
   options.max_protected = 4;
   options.num_rows = rows;
   return RandomSpec(rng, options);
-}
-
-// Order-sensitive digest of an identification result (the bench's
-// acceptance metric): two runs agree iff their IBS outputs are identical
-// region for region.
-uint64_t IbsDigest(const std::vector<BiasedRegion>& ibs) {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(ibs.size());
-  for (const BiasedRegion& region : ibs) {
-    for (int i = 0; i < region.pattern.Arity(); ++i) {
-      mix(static_cast<uint64_t>(
-          static_cast<int64_t>(region.pattern.Value(i))));
-    }
-    mix(static_cast<uint64_t>(region.counts.positives));
-    mix(static_cast<uint64_t>(region.counts.negatives));
-    mix(static_cast<uint64_t>(region.neighbor_counts.positives));
-    mix(static_cast<uint64_t>(region.neighbor_counts.negatives));
-  }
-  return h;
 }
 
 TEST(OocoreTest, SpillRoundTripPreservesEveryRow) {
@@ -180,7 +156,7 @@ TEST(OocoreTest, MmapMatchesInMemoryAcrossBackendsAndThreads) {
     StatusOr<std::vector<BiasedRegion>> reference =
         IdentifyIbs(in_memory, params);
     ASSERT_TRUE(reference.ok());
-    const uint64_t expected = IbsDigest(reference.value());
+    const uint64_t expected = IbsSetDigest(reference.value());
     for (CountingBackendKind kind :
          {CountingBackendKind::kScalar, CountingBackendKind::kSimd,
           CountingBackendKind::kSharded}) {
@@ -190,7 +166,7 @@ TEST(OocoreTest, MmapMatchesInMemoryAcrossBackendsAndThreads) {
         p.backend_threads = threads;
         StatusOr<std::vector<BiasedRegion>> got = IdentifyIbs(mapped, p);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(IbsDigest(got.value()), expected)
+        EXPECT_EQ(IbsSetDigest(got.value()), expected)
             << CountingBackendName(kind) << " threads=" << threads
             << " trial=" << trial;
         if (kind != CountingBackendKind::kSharded) break;

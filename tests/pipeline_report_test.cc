@@ -31,7 +31,6 @@ TEST(PipelineReportTest, AuditMatchesRemedyOutput) {
   const PipelineReport& report = report_or.value();
 
   EXPECT_EQ(report.technique, TechniqueName(params.technique));
-  EXPECT_EQ(report.engine, "incremental");
   EXPECT_EQ(report.seed, params.seed);
   EXPECT_EQ(report.rows_before, train.NumRows());
   EXPECT_EQ(report.rows_after, remedied.NumRows());
@@ -103,19 +102,17 @@ TEST(PipelineReportTest, FailsOnUnremediableDataset) {
 TEST(PipelineReportTest, ToJsonCarriesTheAudit) {
   Dataset train = SmallAdult();
   RemedyParams params;
-  params.engine = RemedyEngine::kRebuild;
   PipelineReport report = RunAuditedRemedy(train, params).value();
   const std::string json = report.ToJson();
   EXPECT_EQ(json.front(), '{');
   for (const char* key :
-       {"\"technique\"", "\"engine\"", "\"seed\"", "\"rows_before\"",
+       {"\"technique\"", "\"seed\"", "\"rows_before\"",
         "\"rows_after\"", "\"instances_added\"", "\"instances_removed\"",
         "\"labels_flipped\"", "\"regions\"", "\"regions_improved\"",
         "\"residual_ibs_size\"", "\"score_before\"", "\"score_after\"",
         "\"neighbor_score\"", "\"improved\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing";
   }
-  EXPECT_NE(json.find("\"engine\": \"rebuild\""), std::string::npos);
 }
 
 TEST(PipelineReportTest, PrintRendersSummaryAndTable) {

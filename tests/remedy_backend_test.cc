@@ -1,13 +1,13 @@
-// RemedyBackend seam tests (docs/REMEDY.md).
+// The daemon's remedy write path (core/remedy_backend.h, docs/REMEDY.md).
 //
-// The load-bearing half is the randomized parity suite: the streaming
-// backend's delta plan, applied to the source leaf counts, must land on the
-// exact FNV-1a counts digest of running the batch rebuild engine over the
-// canonical materialization of those same counts — for every technique and
-// every planning thread count. That digest identity is what lets the daemon
+// The load-bearing half is the randomized parity suite: PlanLeafRemedy's
+// delta plan, applied to the source leaf counts, must land on the exact
+// FNV-1a counts digest of running ReferenceRemedyDataset over the canonical
+// materialization of those same counts — for every technique and every
+// planning thread count. That digest identity is what lets the daemon
 // commit remedies as WAL deltas and still claim byte-equivalence with the
-// offline pipeline. The rest pins the registry (names, parse errors), the
-// canonical materialization round-trip, and the DiffLeafCounts algebra.
+// offline pipeline. The rest pins the canonical materialization round-trip
+// and the DiffLeafCounts algebra.
 
 #include "core/remedy_backend.h"
 
@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/pipeline_metrics.h"
 #include "common/rng.h"
 #include "core/hierarchy.h"
 #include "core/region_counter.h"
@@ -37,45 +38,6 @@ void ExpectIdenticalRows(const Dataset& a, const Dataset& b) {
   for (int r = 0; r < a.NumRows(); ++r) {
     ASSERT_EQ(a.Row(r), b.Row(r)) << "row " << r;
     ASSERT_EQ(a.Label(r), b.Label(r)) << "row " << r;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Registry: names, parsing, construction
-// ---------------------------------------------------------------------------
-
-TEST(RemedyBackendRegistryTest, NamesRoundTripThroughParse) {
-  for (RemedyBackendKind kind :
-       {RemedyBackendKind::kRebuild, RemedyBackendKind::kIncremental,
-        RemedyBackendKind::kStreaming}) {
-    StatusOr<RemedyBackendKind> parsed =
-        ParseRemedyBackend(RemedyBackendName(kind));
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    EXPECT_EQ(parsed.value(), kind);
-  }
-}
-
-TEST(RemedyBackendRegistryTest, UnknownNameListsTheValidOnes) {
-  for (const std::string& bogus : {"", "Rebuild", "online", "stream"}) {
-    StatusOr<RemedyBackendKind> parsed = ParseRemedyBackend(bogus);
-    ASSERT_FALSE(parsed.ok()) << "'" << bogus << "' parsed";
-    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-    // The message is the CLI's only hint; it must name every backend.
-    const std::string& message = parsed.status().message();
-    EXPECT_NE(message.find("rebuild"), std::string::npos) << message;
-    EXPECT_NE(message.find("incremental"), std::string::npos) << message;
-    EXPECT_NE(message.find("streaming"), std::string::npos) << message;
-  }
-}
-
-TEST(RemedyBackendRegistryTest, CreateReturnsTheAskedForKind) {
-  for (RemedyBackendKind kind :
-       {RemedyBackendKind::kRebuild, RemedyBackendKind::kIncremental,
-        RemedyBackendKind::kStreaming}) {
-    auto backend = RemedyBackend::Create(kind);
-    ASSERT_NE(backend, nullptr);
-    EXPECT_EQ(backend->kind(), kind);
-    EXPECT_STREQ(backend->name(), RemedyBackendName(kind));
   }
 }
 
@@ -166,48 +128,20 @@ TEST(DiffLeafCountsTest, EqualTablesDiffToNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// PlanDeltas edge cases
+// PlanLeafRemedy edge cases
 // ---------------------------------------------------------------------------
 
-TEST(RemedyBackendTest, EmptySourcePlansNothing) {
+TEST(PlanLeafRemedyTest, EmptySourcePlansNothing) {
   // The daemon may ask for a remedy before any batch arrived; that is a
   // no-op plan, not an error.
-  const DataSchema schema = SmallSchema();
-  NodeTable empty;
-  RemedySource source;
-  source.schema = &schema;
-  source.leaf_counts = &empty;
-  auto backend = RemedyBackend::Create(RemedyBackendKind::kStreaming);
-  StatusOr<RemedyDeltaPlan> plan = backend->PlanDeltas(source, RemedyParams());
+  StatusOr<RemedyDeltaPlan> plan =
+      PlanLeafRemedy(SmallSchema(), NodeTable(), RemedyParams());
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_TRUE(plan.value().deltas.empty());
 }
 
-TEST(RemedyBackendTest, SourceValidationRejectsAmbiguityAndAbsence) {
-  Dataset data = GridDataset({{{5, 5}}});
-  const NodeTable counts = LeafCountsOf(data);
-  auto backend = RemedyBackend::Create(RemedyBackendKind::kIncremental);
-
-  RemedySource none;  // neither form set
-  EXPECT_EQ(backend->Remedy(none, RemedyParams()).status().code(),
-            StatusCode::kInvalidArgument);
-
-  RemedySource both;  // both forms set
-  both.dataset = &data;
-  both.schema = &data.schema();
-  both.leaf_counts = &counts;
-  EXPECT_EQ(backend->Remedy(both, RemedyParams()).status().code(),
-            StatusCode::kInvalidArgument);
-
-  RemedySource counts_without_schema;
-  counts_without_schema.leaf_counts = &counts;
-  EXPECT_EQ(
-      backend->Remedy(counts_without_schema, RemedyParams()).status().code(),
-      StatusCode::kInvalidArgument);
-}
-
 // ---------------------------------------------------------------------------
-// Parity: streaming deltas == rebuild on the materialized dataset
+// Parity: PlanLeafRemedy deltas == the reference on the materialized dataset
 // ---------------------------------------------------------------------------
 
 RemedyParams BiasedParams(RemedyTechnique technique, uint64_t seed,
@@ -233,10 +167,10 @@ NodeTable RandomCounts(Rng& rng) {
   return LeafCountsOf(GridDataset(cells));
 }
 
-class RemedyBackendParityTest
+class PlanLeafRemedyParityTest
     : public ::testing::TestWithParam<std::tuple<RemedyTechnique, int>> {};
 
-TEST_P(RemedyBackendParityTest, StreamingDeltasMatchRebuildOnMaterialized) {
+TEST_P(PlanLeafRemedyParityTest, DeltasMatchReferenceOnMaterialized) {
   auto [technique, threads] = GetParam();
 #ifdef REMEDY_TSAN_BUILD
   const int kDraws = 2;  // TSan is ~10x slower; the race surface is the same
@@ -244,27 +178,19 @@ TEST_P(RemedyBackendParityTest, StreamingDeltasMatchRebuildOnMaterialized) {
   const int kDraws = 8;
 #endif
   const DataSchema schema = SmallSchema();
-  auto streaming = RemedyBackend::Create(RemedyBackendKind::kStreaming);
-  auto rebuild = RemedyBackend::Create(RemedyBackendKind::kRebuild);
   int acted = 0;
   for (int draw = 0; draw < kDraws; ++draw) {
     Rng rng(100 * draw + threads + 7);
     const NodeTable counts = RandomCounts(rng);
     const RemedyParams params = BiasedParams(technique, 23 + draw, threads);
 
-    RemedySource count_source;
-    count_source.schema = &schema;
-    count_source.leaf_counts = &counts;
-    StatusOr<RemedyDeltaPlan> plan =
-        streaming->PlanDeltas(count_source, params);
+    StatusOr<RemedyDeltaPlan> plan = PlanLeafRemedy(schema, counts, params);
     ASSERT_TRUE(plan.ok()) << plan.status();
 
-    // Oracle: batch-rebuild the remedy over the canonical materialization
-    // of the same counts, then census the remedied rows.
+    // Oracle: the rebuild reference over the canonical materialization of
+    // the same counts, then a census of the remedied rows.
     Dataset materialized = MaterializeLeafCounts(schema, counts).value();
-    RemedySource row_source;
-    row_source.dataset = &materialized;
-    StatusOr<Dataset> remedied = rebuild->Remedy(row_source, params);
+    StatusOr<Dataset> remedied = ReferenceRemedyDataset(materialized, params);
     ASSERT_TRUE(remedied.ok()) << remedied.status();
 
     EXPECT_EQ(LeafCountsDigest(Applied(counts, plan.value().deltas)),
@@ -278,7 +204,7 @@ TEST_P(RemedyBackendParityTest, StreamingDeltasMatchRebuildOnMaterialized) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    TechniqueThreadSweep, RemedyBackendParityTest,
+    TechniqueThreadSweep, PlanLeafRemedyParityTest,
     ::testing::Combine(
         ::testing::Values(RemedyTechnique::kOversample,
                           RemedyTechnique::kUndersample,
@@ -291,25 +217,118 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// The two batch backends are row-faithful twins: same rows out, not just
-// the same census (the PR 2 identity, restated through the seam).
-TEST(RemedyBackendTest, BatchBackendsAreByteIdenticalOnRows) {
+// On a dataset source, RemedyDataset and the reference are row-faithful
+// twins: same rows out, not just the same census (tests/remedy_engine_test.cc
+// pins this on Adult; here on a hand-built grid).
+TEST(ReferenceRemedyTest, RemedyDatasetIsByteIdenticalOnRows) {
   Dataset data = GridDataset({{{80, 10}, {12, 40}},
                               {{30, 30}, {5, 60}},
                               {{90, 9}, {20, 20}}});
-  RemedySource source;
-  source.dataset = &data;
   const RemedyParams params =
       BiasedParams(RemedyTechnique::kPreferentialSampling, 23, 2);
-  StatusOr<Dataset> a =
-      RemedyBackend::Create(RemedyBackendKind::kRebuild)
-          ->Remedy(source, params);
-  StatusOr<Dataset> b =
-      RemedyBackend::Create(RemedyBackendKind::kIncremental)
-          ->Remedy(source, params);
+  StatusOr<Dataset> a = ReferenceRemedyDataset(data, params);
+  StatusOr<Dataset> b = RemedyDataset(data, params);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   ExpectIdenticalRows(a.value(), b.value());
+}
+
+// ---------------------------------------------------------------------------
+// PlanLeafRemedy: errors, no-ops, stats and metrics
+// ---------------------------------------------------------------------------
+
+TEST(PlanLeafRemedyTest, PropagatesMaterializationErrors) {
+  // A non-empty census is materialized, so its errors reach the caller
+  // instead of being planned around.
+  DataSchema no_protected({AttributeSchema("x", {"x0", "x1"})}, {});
+  EXPECT_EQ(PlanLeafRemedy(no_protected, NodeTable({{0, RegionCounts{3, 2}}}),
+                           RemedyParams())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  NodeTable negative({{0, RegionCounts{-1, 2}}});
+  EXPECT_EQ(
+      PlanLeafRemedy(SmallSchema(), negative, RemedyParams()).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(PlanLeafRemedyTest, FairCensusPlansNothing) {
+  // Every leaf at the same positive ratio: no region is biased against its
+  // neighbors, so no technique has anything to change.
+  const NodeTable fair = LeafCountsOf(GridDataset({{{40, 20}, {20, 10}},
+                                                   {{60, 30}, {40, 20}},
+                                                   {{20, 10}, {80, 40}}}));
+  for (RemedyTechnique technique :
+       {RemedyTechnique::kOversample, RemedyTechnique::kUndersample,
+        RemedyTechnique::kPreferentialSampling,
+        RemedyTechnique::kMassaging}) {
+    StatusOr<RemedyDeltaPlan> plan = PlanLeafRemedy(
+        SmallSchema(), fair, BiasedParams(technique, 23, 1));
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_TRUE(plan.value().deltas.empty()) << TechniqueName(technique);
+    EXPECT_EQ(plan.value().stats.regions_processed, 0)
+        << TechniqueName(technique);
+  }
+}
+
+TEST(PlanLeafRemedyTest, StatsMatchTheReferenceAndTheDeltas) {
+  const DataSchema schema = SmallSchema();
+  const NodeTable counts = LeafCountsOf(GridDataset({{{80, 10}, {12, 40}},
+                                                     {{30, 30}, {5, 60}},
+                                                     {{90, 9}, {20, 20}}}));
+  Dataset materialized = MaterializeLeafCounts(schema, counts).value();
+  for (RemedyTechnique technique :
+       {RemedyTechnique::kOversample, RemedyTechnique::kUndersample,
+        RemedyTechnique::kPreferentialSampling,
+        RemedyTechnique::kMassaging}) {
+    const RemedyParams params = BiasedParams(technique, 23, 2);
+    StatusOr<RemedyDeltaPlan> plan = PlanLeafRemedy(schema, counts, params);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    RemedyStats reference;
+    ASSERT_TRUE(
+        ReferenceRemedyDataset(materialized, params, &reference).ok());
+
+    const RemedyStats& stats = plan.value().stats;
+    const std::string name = TechniqueName(technique);
+    EXPECT_GT(stats.regions_processed, 0) << name;
+    EXPECT_EQ(stats.regions_processed, reference.regions_processed) << name;
+    EXPECT_EQ(stats.regions_skipped, reference.regions_skipped) << name;
+    EXPECT_EQ(stats.instances_added, reference.instances_added) << name;
+    EXPECT_EQ(stats.instances_removed, reference.instances_removed) << name;
+    EXPECT_EQ(stats.labels_flipped, reference.labels_flipped) << name;
+    EXPECT_EQ(stats.add_budget_exhausted, reference.add_budget_exhausted)
+        << name;
+
+    // The net row change the deltas commit is what the stats report.
+    int64_t net = 0;
+    for (const Hierarchy::LeafDelta& delta : plan.value().deltas) {
+      net += delta.delta_positives + delta.delta_negatives;
+    }
+    EXPECT_EQ(net, stats.instances_added - stats.instances_removed) << name;
+  }
+}
+
+TEST(PlanLeafRemedyTest, RecordsTheRemedyBackendMetrics) {
+  const PipelineMetrics& metrics = PipelineMetrics::Get();
+  const int64_t plans_before = metrics.remedy_backend_plans->Value();
+  const int64_t deltas_before =
+      metrics.remedy_backend_deltas_planned->Value();
+  const int64_t timed_before = metrics.remedy_backend_plan_ns->Count();
+
+  const NodeTable counts = LeafCountsOf(GridDataset({{{80, 10}, {12, 40}},
+                                                     {{30, 30}, {5, 60}},
+                                                     {{90, 9}, {20, 20}}}));
+  StatusOr<RemedyDeltaPlan> plan = PlanLeafRemedy(
+      SmallSchema(), counts,
+      BiasedParams(RemedyTechnique::kPreferentialSampling, 23, 1));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_FALSE(plan.value().deltas.empty());
+
+  EXPECT_EQ(metrics.remedy_backend_plans->Value() - plans_before, 1);
+  EXPECT_EQ(metrics.remedy_backend_deltas_planned->Value() - deltas_before,
+            static_cast<int64_t>(plan.value().deltas.size()));
+  EXPECT_EQ(metrics.remedy_backend_plan_ns->Count() - timed_before, 1);
 }
 
 }  // namespace

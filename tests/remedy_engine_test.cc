@@ -1,6 +1,7 @@
-// Equivalence suite for the two remedy engines: the delta-maintained
-// incremental engine must be indistinguishable — remedied rows and stats —
-// from the rebuild-from-scratch reference, at any planning thread count.
+// Equivalence suite for the remedy engine: RemedyDataset (delta-maintained)
+// must be indistinguishable — remedied rows and stats — from its
+// rebuild-from-scratch oracle ReferenceRemedyDataset, at any planning
+// thread count.
 
 #include <gtest/gtest.h>
 
@@ -73,11 +74,10 @@ TEST(RemedyEngineTest, IncrementalMatchesRebuild) {
       params.max_added_total = 2 * kRows;
       params.planning_threads = 2;
 
-      params.engine = RemedyEngine::kRebuild;
       RemedyStats rebuild_stats;
-      Dataset rebuilt = RemedyDataset(data, params, &rebuild_stats).value();
+      Dataset rebuilt =
+          ReferenceRemedyDataset(data, params, &rebuild_stats).value();
 
-      params.engine = RemedyEngine::kIncremental;
       RemedyStats incremental_stats;
       Dataset incremental = RemedyDataset(data, params, &incremental_stats).value();
 
@@ -95,7 +95,6 @@ TEST(RemedyEngineTest, OutputIsIndependentOfPlanningThreads) {
     RemedyParams params;
     params.technique = technique;
     params.max_added_total = 2 * kRows;
-    params.engine = RemedyEngine::kIncremental;
 
     params.planning_threads = 1;
     RemedyStats serial_stats;
@@ -117,11 +116,9 @@ TEST(RemedyEngineTest, AddBudgetPathMatches) {
   params.max_added_total = 40;  // tight: some region must overflow it
   params.planning_threads = 2;
 
-  params.engine = RemedyEngine::kRebuild;
   RemedyStats rebuild_stats;
-  Dataset rebuilt = RemedyDataset(data, params, &rebuild_stats).value();
+  Dataset rebuilt = ReferenceRemedyDataset(data, params, &rebuild_stats).value();
 
-  params.engine = RemedyEngine::kIncremental;
   RemedyStats incremental_stats;
   Dataset incremental = RemedyDataset(data, params, &incremental_stats).value();
 
@@ -138,11 +135,9 @@ TEST(RemedyEngineTest, UnlimitedBudgetMatches) {
   params.max_added_total = -1;  // cap disabled
   params.planning_threads = 2;
 
-  params.engine = RemedyEngine::kRebuild;
   RemedyStats rebuild_stats;
-  Dataset rebuilt = RemedyDataset(data, params, &rebuild_stats).value();
+  Dataset rebuilt = ReferenceRemedyDataset(data, params, &rebuild_stats).value();
 
-  params.engine = RemedyEngine::kIncremental;
   RemedyStats incremental_stats;
   Dataset incremental = RemedyDataset(data, params, &incremental_stats).value();
 

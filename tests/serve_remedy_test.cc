@@ -3,8 +3,8 @@
 // as ingest. The suite pins the headline contracts:
 //
 //   parity     the post-remedy epoch's leaf census is digest-identical to
-//              batch-rebuilding the remedy over the canonical
-//              materialization of the pinned counts;
+//              ReferenceRemedyDataset over the canonical materialization
+//              of the pinned counts;
 //   staleness  a plan pinned behind a later ingest commit is rejected
 //              (kResourceExhausted), never blindly applied;
 //   autonomy   the monitor-triggered auto-remedy loop commits a
@@ -146,18 +146,14 @@ TEST(ServeRemedyTest, CommitMatchesBatchRebuildOnTheMaterializedCut) {
   EXPECT_EQ(post->epoch, result.value().applied_epoch);
 
   // Golden-output parity: the daemon's post-remedy census must equal the
-  // batch rebuild engine run over the canonical materialization of the
-  // pinned counts — byte-identical, by FNV-1a digest.
+  // rebuild reference run over the canonical materialization of the pinned
+  // counts — byte-identical, by FNV-1a digest.
   Dataset materialized = MaterializeLeafCounts(schema, pre_counts).value();
-  RemedySource source;
-  source.dataset = &materialized;
-  StatusOr<Dataset> oracle =
-      RemedyBackend::Create(RemedyBackendKind::kRebuild)
-          ->Remedy(source, params);
+  StatusOr<Dataset> oracle = ReferenceRemedyDataset(materialized, params);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   EXPECT_EQ(LeafCountsDigest(*post->leaf_counts),
             LeafCountsDigest(LeafCountsOf(oracle.value())))
-      << "streaming commit diverged from the batch rebuild oracle";
+      << "daemon remedy commit diverged from the rebuild reference";
   EXPECT_TRUE(daemon.value()->Stop().ok());
 }
 
@@ -171,7 +167,7 @@ TEST(ServeRemedyTest, RequiresRemedyEnabledOptions) {
   EXPECT_EQ(daemon.value()->Snapshot()->leaf_counts, nullptr);
   EXPECT_EQ(daemon.value()->SubmitRemedy(RemedyParams()).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_NE(daemon.value()->HealthJson().find("\"remedy_backend\":\"disabled\""),
+  EXPECT_NE(daemon.value()->HealthJson().find("\"remedy_enabled\":false"),
             std::string::npos);
   EXPECT_TRUE(daemon.value()->Stop().ok());
 }
@@ -229,22 +225,21 @@ TEST(ServeRemedyTest, AutoRemedyCommitsAReplayableSequenceAndQuiesces) {
   ASSERT_GE(commits, 1) << "the monitor never triggered a remedy round";
   ASSERT_LE(commits, options.auto_remedy_max_rounds);
 
-  // Replay the committed sequence offline: each round plans with the same
-  // backend/params against the previous round's census. The daemon's final
-  // census must match the replay digest-exactly, and every replayed round
-  // must have had work to do (the daemon never commits an empty plan).
+  // Replay the committed sequence offline: each round runs the rebuild
+  // reference with the same params over the canonical materialization of
+  // the previous round's census. The daemon's final census must match the
+  // replay digest-exactly, and every replayed round must have had work to
+  // do (the daemon never commits an empty plan).
   RemedyParams params = options.remedy;
-  auto backend = RemedyBackend::Create(options.remedy_backend);
   for (int64_t round = 0; round < commits; ++round) {
-    RemedySource source;
-    source.schema = &schema;
-    source.leaf_counts = &cut;
-    StatusOr<RemedyDeltaPlan> plan = backend->PlanDeltas(source, params);
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    ASSERT_FALSE(plan.value().deltas.empty())
+    Dataset materialized = MaterializeLeafCounts(schema, cut).value();
+    StatusOr<Dataset> remedied = ReferenceRemedyDataset(materialized, params);
+    ASSERT_TRUE(remedied.ok()) << remedied.status();
+    const NodeTable next = LeafCountsOf(remedied.value());
+    ASSERT_FALSE(DiffLeafCounts(cut, next).empty())
         << "round " << round << " replayed empty; the daemon committed "
         << commits << " rounds";
-    cut = Applied(cut, plan.value().deltas);
+    cut = next;
   }
   EXPECT_EQ(SnapshotLeafDigest(*daemon.value()), LeafCountsDigest(cut))
       << "auto-remedy diverged from its offline replay";
@@ -254,8 +249,7 @@ TEST(ServeRemedyTest, AutoRemedyCommitsAReplayableSequenceAndQuiesces) {
   EXPECT_EQ(daemon.value()->remedy_commits(), commits);
   const std::string health = daemon.value()->HealthJson();
   EXPECT_NE(health.find("\"auto_remedy\":true"), std::string::npos);
-  EXPECT_NE(health.find("\"remedy_backend\":\"streaming\""),
-            std::string::npos);
+  EXPECT_NE(health.find("\"remedy_enabled\":true"), std::string::npos);
   EXPECT_NE(health.find("\"counting_backend\":\"scalar\""),
             std::string::npos);
   EXPECT_TRUE(daemon.value()->Stop().ok());

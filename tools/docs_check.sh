@@ -7,12 +7,11 @@
 #               X(field, "family/event", "unit", "help...")
 #             appears as the first backticked cell of a docs/METRICS.md
 #             table row, and vice versa;
-#   backends  the registered backend names (the `if (name == "...")` lines
-#             of ParseCountingBackend / ParseRemedyBackend, in declaration
-#             order) appear pipe-joined — `scalar|simd|sharded`,
-#             `rebuild|incremental|streaming` — in docs/CLI.md, and the
-#             remedy list also in docs/REMEDY.md, so a backend added to a
-#             registry cannot ship undocumented;
+#   backends  the registered counting backend names (the
+#             `if (name == "...")` lines of ParseCountingBackend, in
+#             declaration order) appear pipe-joined — `scalar|simd|sharded`
+#             — in docs/CLI.md, so a backend added to the registry cannot
+#             ship undocumented;
 #   flags     every `"--flag"` literal in examples/remedy_cli.cpp and
 #             examples/remedy_serve.cpp has a backticked `--flag` mention
 #             in docs/CLI.md, and every documented flag exists in the code
@@ -28,15 +27,13 @@ root="${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}"
 header="$root/src/common/pipeline_metrics.h"
 doc="$root/docs/METRICS.md"
 cli_doc="$root/docs/CLI.md"
-remedy_doc="$root/docs/REMEDY.md"
 counting_cc="$root/src/core/counting_backend.cc"
-remedy_cc="$root/src/core/remedy_backend.cc"
 cli_src="$root/examples/remedy_cli.cpp"
 serve_src="$root/examples/remedy_serve.cpp"
 
 fail=0
-for f in "$header" "$doc" "$cli_doc" "$remedy_doc" "$counting_cc" \
-         "$remedy_cc" "$cli_src" "$serve_src"; do
+for f in "$header" "$doc" "$cli_doc" "$counting_cc" "$cli_src" \
+         "$serve_src"; do
   if [ ! -f "$f" ]; then
     echo "docs-check: missing $f" >&2
     fail=1
@@ -78,31 +75,22 @@ if [ -n "$stale" ]; then
 fi
 
 # --- backend-name drift ----------------------------------------------------
-# The authoritative name list of a backend registry is its Parse function's
-# `if (name == "...")` chain, read in declaration order and pipe-joined.
-# The joined form is exactly what the CLI help and the docs print, so a
-# plain substring check catches both a missing name and a reordered list.
-backend_list() {
-  sed -n 's/^ *if (name == "\([a-z]*\)").*/\1/p' "$1" | paste -sd'|' -
-}
-
-counting_names="$(backend_list "$counting_cc")"
-remedy_names="$(backend_list "$remedy_cc")"
-if [ -z "$counting_names" ] || [ -z "$remedy_names" ]; then
-  echo "docs-check: extracted no backend names (pattern drift in Parse*Backend?)" >&2
+# The authoritative name list of the counting registry is
+# ParseCountingBackend's `if (name == "...")` chain, read in declaration
+# order and pipe-joined. The joined form is exactly what the CLI help and
+# the docs print, so a plain substring check catches both a missing name
+# and a reordered list.
+counting_names="$(sed -n 's/^ *if (name == "\([a-z]*\)").*/\1/p' \
+  "$counting_cc" | paste -sd'|' -)"
+if [ -z "$counting_names" ]; then
+  echo "docs-check: extracted no backend names (pattern drift in ParseCountingBackend?)" >&2
   exit 1
 fi
-
-require_literal() {
-  # require_literal <literal> <file> <what>
-  if ! grep -qF "$1" "$2"; then
-    echo "docs-check: $3 must spell out the registered list \`$1\` ($2)" >&2
-    fail=1
-  fi
-}
-require_literal "$counting_names" "$cli_doc" "docs/CLI.md (counting backends)"
-require_literal "$remedy_names" "$cli_doc" "docs/CLI.md (remedy backends)"
-require_literal "$remedy_names" "$remedy_doc" "docs/REMEDY.md (remedy backends)"
+if ! grep -qF "$counting_names" "$cli_doc"; then
+  echo "docs-check: docs/CLI.md (counting backends) must spell out the" \
+       "registered list \`$counting_names\` ($cli_doc)" >&2
+  fail=1
+fi
 
 # --- CLI-flag drift --------------------------------------------------------
 # Code side: exact `"--flag"` string literals in the two CLI front ends
@@ -139,6 +127,6 @@ fi
 if [ "$fail" -eq 0 ]; then
   echo "docs-check: $(wc -l < "$tmpdir/code" | tr -d ' ') metrics," \
        "$(wc -l < "$tmpdir/flags_code" | tr -d ' ') flags and the" \
-       "backend registries ($counting_names; $remedy_names) in sync"
+       "counting backend registry ($counting_names) in sync"
 fi
 exit "$fail"

@@ -1,15 +1,14 @@
 # serve_remedy_smoke driver: the online-remedy path through the real
-# binaries (docs/REMEDY.md). Four legs against generated adult data:
+# binary (docs/REMEDY.md). Three legs against generated adult data:
 #
 #   1. seed + one-shot --remedy that dies via --kill-after-remedy WITHOUT
 #      checkpointing — the remedy record is durable only in the WAL;
-#   2. a recovery lifetime that must replay the remedy and serve healthy;
-#   3. an --auto-remedy lifetime that must quiesce and exit clean;
-#   4. negative checks: an unknown --remedy-backend exits 64 from both
-#      remedy_serve and remedy_cli (the registry's suggestion-list path).
+#   2. a recovery lifetime that must replay the remedy, remedy once more on
+#      the recovered census, and serve healthy with remedy enabled;
+#   3. an --auto-remedy lifetime that must quiesce and exit clean.
 #
 # Invoked by ctest as
-#   cmake -DSERVE=<bin> -DCLI=<bin> -DSTATE_DIR=<dir> -P serve_remedy_smoke.cmake
+#   cmake -DSERVE=<bin> -DSTATE_DIR=<dir> -P serve_remedy_smoke.cmake
 
 file(REMOVE_RECURSE ${STATE_DIR})
 file(MAKE_DIRECTORY ${STATE_DIR})
@@ -34,7 +33,7 @@ endif()
 # --- leg 2: recovery must replay the remedy records -----------------------
 execute_process(
   COMMAND ${SERVE} @adult:2000 --state-dir ${STATE_DIR}
-          --remedy-backend streaming
+          --remedy ps
           --health-out ${STATE_DIR}/health.json
   RESULT_VARIABLE rc2)
 if(NOT rc2 EQUAL 0)
@@ -47,9 +46,9 @@ endif()
 if(NOT health MATCHES "\"needs_recovery\":false")
   message(FATAL_ERROR "serve_remedy_smoke: recovered daemon needs recovery")
 endif()
-if(NOT health MATCHES "\"remedy_backend\":\"streaming\"")
+if(NOT health MATCHES "\"remedy_enabled\":true")
   message(FATAL_ERROR
-          "serve_remedy_smoke: health does not report the remedy backend")
+          "serve_remedy_smoke: health does not report remedy as enabled")
 endif()
 
 # --- leg 3: the monitor-triggered auto-remedy loop quiesces ---------------
@@ -65,26 +64,4 @@ endif()
 if(NOT out3 MATCHES "auto-remedy quiesced:")
   message(FATAL_ERROR
           "serve_remedy_smoke: auto-remedy never quiesced:\n${out3}")
-endif()
-
-# --- leg 4: unknown backend names exit 64 from both CLIs ------------------
-execute_process(
-  COMMAND ${SERVE} @adult:100 --state-dir ${STATE_DIR}/bogus
-          --remedy-backend bogus
-  RESULT_VARIABLE rc4
-  ERROR_QUIET OUTPUT_QUIET)
-if(NOT rc4 EQUAL 64)
-  message(FATAL_ERROR
-          "serve_remedy_smoke: remedy_serve --remedy-backend=bogus exited "
-          "${rc4}, want 64")
-endif()
-execute_process(
-  COMMAND ${CLI} remedy @adult:500 --out ${STATE_DIR}/unused.csv
-          --remedy-backend bogus
-  RESULT_VARIABLE rc5
-  ERROR_QUIET OUTPUT_QUIET)
-if(NOT rc5 EQUAL 64)
-  message(FATAL_ERROR
-          "serve_remedy_smoke: remedy_cli --remedy-backend bogus exited "
-          "${rc5}, want 64")
 endif()
