@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "fairness/fairness_index.h"
 #include "ml/metrics.h"
 
@@ -90,6 +91,29 @@ int64_t PeakRssBytes() {
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   // Linux reports ru_maxrss in kilobytes.
   return static_cast<int64_t>(usage.ru_maxrss) * 1024;
+}
+
+std::string Hex64(uint64_t value) {
+  char text[17];
+  std::snprintf(text, sizeof(text), "%016llx",
+                static_cast<unsigned long long>(value));
+  return text;
+}
+
+JsonResultWriter::Record MachineRecord() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu_model = line.substr(line.find_first_not_of(" \t", colon + 1));
+      break;
+    }
+  }
+  return {{"nproc", static_cast<double>(ThreadPool::DefaultThreads())},
+          {"cpu_model", cpu_model},
+          {"build_type", REMEDY_BENCH_BUILD_TYPE}};
 }
 
 void JsonResultWriter::AddRecord(const std::string& section,

@@ -1,6 +1,7 @@
 #ifndef REMEDY_BENCH_BENCH_COMMON_H_
 #define REMEDY_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,6 +61,10 @@ bool HasFlag(int argc, char** argv, const std::string& flag);
 // the phase being measured.
 int64_t PeakRssBytes();
 
+// `value` as 16 lower-case hex digits. BENCH files write 64-bit digests
+// this way: a JSON number is a double and keeps only 53 bits.
+std::string Hex64(uint64_t value);
+
 // Minimal machine-readable results sink: named sections, each an array of
 // flat records (numbers, plus the occasional string such as a backend
 // name), serialized as one JSON object. Covers everything the bench tables
@@ -96,6 +101,10 @@ class JsonResultWriter {
  private:
   std::vector<std::pair<std::string, std::vector<Record>>> sections_;
 };
+
+// The machine a bench ran on, for a "machine" section: usable CPUs
+// (affinity and cgroup quota applied), CPU model and build type.
+JsonResultWriter::Record MachineRecord();
 
 }  // namespace remedy::bench
 

@@ -1,17 +1,19 @@
 // Google-benchmark micro benchmarks for the core operations: region
 // counting, hierarchy node materialization, neighbor-count computation
-// (naive vs optimized) and full IBS identification. These quantify the
-// constant factors behind the Fig. 9 curves.
+// (naive vs optimized), full IBS identification and the subgroup analysis
+// behind the fairness index. These quantify the constant factors behind the
+// Fig. 9 curves.
 
 #include <benchmark/benchmark.h>
 
 #include "common/check.h"
-
+#include "common/rng.h"
 #include "core/hierarchy.h"
 #include "core/ibs_identify.h"
 #include "core/imbalance.h"
 #include "datagen/adult.h"
 #include "datagen/compas.h"
+#include "fairness/divergence.h"
 #include "mining/region_miner.h"
 
 namespace remedy {
@@ -158,6 +160,34 @@ void BM_IdentifyIbs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IdentifyIbs)->Arg(0)->Arg(1);
+
+// The subgroup analysis behind the fairness index (FPR) on the shape of a
+// perfbench pipeline's test split: 13.5k Adult rows with |X| = 8, and
+// predictions that miss one label in five. Arg = min_support in percent
+// (10 is ComputeFairnessIndex's default; 0 is ComputeFairnessViolation's).
+void BM_AnalyzeSubgroups(benchmark::State& state) {
+  static const Dataset* test = [] {
+    Dataset data = MakeAdult(45000);
+    data.SetProtected(AdultScalabilityProtected(8));
+    Rng rng(3);
+    return new Dataset(data.TrainTestSplit(0.7, rng).second);
+  }();
+  static const std::vector<int>* predictions = [] {
+    Rng rng(5);
+    auto* out = new std::vector<int>(test->NumRows());
+    for (int r = 0; r < test->NumRows(); ++r) {
+      (*out)[r] = rng.Bernoulli(0.2) ? 1 - test->Label(r) : test->Label(r);
+    }
+    return out;
+  }();
+  const double min_support = static_cast<double>(state.range(0)) / 100.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        AnalyzeSubgroups(*test, *predictions, Statistic::kFpr, min_support));
+  }
+  state.SetItemsProcessed(state.iterations() * test->NumRows());
+}
+BENCHMARK(BM_AnalyzeSubgroups)->Arg(10)->Arg(0)->UseRealTime();
 
 // Candidate enumeration by FP-growth instead of the full lattice sweep
 // (mining/region_miner.h): measures the frequent-pattern view of Theorem 1.

@@ -5,8 +5,12 @@
 // with digest-checked parity (the bench exits nonzero the moment the two
 // disagree), plus the resulting steady-state batches/s.
 //
-// With `--json <path>` (default BENCH_serve.json) every per-epoch timing
-// and the p50/p99/speedup summary land in a machine-readable file.
+// With `--json <path>` (default BENCH_serve.json) every per-epoch timing,
+// the per-epoch IBS digest (16-digit hex text, exact) and the
+// p50/p99/speedup summary land in a machine-readable file, after a
+// "machine" record (usable CPUs, CPU model, build type). The committed
+// BENCH_serve.json comes from `build/bench/serve_steady` with no flags,
+// run from the repository root.
 // `--smoke` shrinks the lattice (120k rows, 25 epochs) so the bench doubles
 // as the serve_steady_smoke ctest (label: bench-smoke), which still
 // asserts incremental-equals-full digests at every epoch.
@@ -176,6 +180,7 @@ int Run(int argc, char** argv) {
               cold_full_s * 1e3, warm.size());
 
   JsonResultWriter json;
+  json.AddRecord("machine", bench::MachineRecord());
   Rng rng(0xba7c4);
   std::vector<double> full_ms;
   std::vector<double> incr_ms;
@@ -220,7 +225,7 @@ int Run(int argc, char** argv) {
          {"apply_ms", apply_ms.back()},
          {"full_identify_ms", full_ms.back()},
          {"incremental_identify_ms", incr_ms.back()},
-         {"digest", static_cast<double>(incr_digest)},
+         {"digest", bench::Hex64(incr_digest)},
          {"digests_match", match ? 1.0 : 0.0}});
     if (!match) {
       std::fprintf(stderr,

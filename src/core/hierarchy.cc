@@ -235,24 +235,10 @@ void Hierarchy::ApplyDeltas(const std::vector<LeafDelta>& deltas,
     }
   };
 
-  // Roll the batch up level by level with the child choice EagerBuild
-  // uses (lowest missing position); a level's tables are dropped once the
-  // level above has rolled up from them.
-  std::unordered_map<uint32_t, NodeTable> level;
-  level.emplace(LeafMask(), NodeTable(std::move(leaf_entries)));
-  apply(LeafMask(), level.begin()->second);
-  for (int depth = NumProtected() - 1; depth >= 1; --depth) {
-    std::unordered_map<uint32_t, NodeTable> above;
-    for (uint32_t mask : MasksAtLevel(depth)) {
-      const uint32_t missing = LeafMask() & ~mask;
-      const uint32_t child = mask | (missing & (~missing + 1));
-      const NodeTable& rolled =
-          above.emplace(mask, counter_.RollUp(level.at(child), child, mask))
-              .first->second;
-      apply(mask, rolled);
-    }
-    level = std::move(above);
-  }
+  RollUpLattice(std::array<NodeTable, 1>{NodeTable(std::move(leaf_entries))},
+                [&](uint32_t mask, const std::array<NodeTable, 1>& tables) {
+                  apply(mask, tables[0]);
+                });
 
   total_counts_.positives += batch_totals.positives;
   total_counts_.negatives += batch_totals.negatives;

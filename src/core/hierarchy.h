@@ -1,10 +1,12 @@
 #ifndef REMEDY_CORE_HIERARCHY_H_
 #define REMEDY_CORE_HIERARCHY_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -163,6 +165,37 @@ class Hierarchy {
   void ApplyDeltas(const std::vector<LeafDelta>& deltas,
                    bool insert_missing = false);
   void ApplyDelta(const LeafDelta& delta);
+
+  // The rollup walk behind ApplyDeltas, over caller-supplied tables: `leaf`
+  // holds N leaf-node tables, and every coarser node's tables are
+  // RegionCounter::RollUp of its lowest-missing-position child's (the child
+  // EagerBuild uses). Calls visit(mask, tables) for every node in
+  // BottomUpMasks() order, the leaf first with `leaf` itself. A level's
+  // tables are dropped once the level above has rolled up from them, so at
+  // most two levels are alive. Reads only the schema: the memoized nodes,
+  // the digest and the lattice metrics are untouched.
+  template <size_t N, typename Visit>
+  void RollUpLattice(std::array<NodeTable, N> leaf, Visit&& visit) const {
+    using Tables = std::array<NodeTable, N>;
+    std::unordered_map<uint32_t, Tables> level;
+    visit(LeafMask(),
+          std::as_const(level.emplace(LeafMask(), std::move(leaf))
+                            .first->second));
+    for (int depth = NumProtected() - 1; depth >= 1; --depth) {
+      std::unordered_map<uint32_t, Tables> above;
+      for (uint32_t mask : MasksAtLevel(depth)) {
+        const uint32_t missing = LeafMask() & ~mask;
+        const uint32_t child = mask | (missing & (~missing + 1));
+        const Tables& from = level.at(child);
+        Tables& rolled = above[mask];
+        for (size_t i = 0; i < N; ++i) {
+          rolled[i] = counter_.RollUp(from[i], child, mask);
+        }
+        visit(mask, std::as_const(rolled));
+      }
+      level = std::move(above);
+    }
+  }
 
   // Order-independent digest of the lattice counts: the sum (mod 2^64),
   // over every non-empty entry of every node, of a strong 64-bit mix of

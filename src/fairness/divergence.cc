@@ -1,23 +1,15 @@
 #include "fairness/divergence.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/check.h"
+#include "common/trace.h"
 #include "core/hierarchy.h"
 #include "fairness/significance.h"
 
 namespace remedy {
-namespace {
-
-struct GroupTally {
-  int64_t size = 0;      // all rows in the subgroup
-  int64_t relevant = 0;  // rows in the statistic's conditioning class
-  int64_t errors = 0;    // misclassified relevant rows
-};
-
-}  // namespace
 
 std::string StatisticName(Statistic statistic) {
   switch (statistic) {
@@ -39,23 +31,45 @@ namespace {
 // Shared core of the dataset and view forms. `view` == nullptr analyzes
 // every row of `test` in order; otherwise position i stands for test row
 // (*view)[i]. `predictions` is always indexed by original test row.
+//
+// One pass over the positions tallies two leaf-node census tables, and
+// Hierarchy::RollUpLattice derives every coarser node from them:
+//   all:      positives = relevant rows, negatives = the others, so
+//             Total() is the subgroup size;
+//   relevant: relevant rows only, positives = errors, negatives = the
+//             correctly handled ones.
+// Every tally is an integer count, so each report equals a per-node scan
+// of the rows bit for bit; nodes come out in BottomUpMasks() order with
+// ascending keys inside each node.
 SubgroupAnalysis AnalyzeImpl(const Dataset& test,
                              const std::vector<int>* view,
                              const std::vector<int>& predictions,
                              Statistic statistic, double min_support,
                              int64_t min_size) {
+  REMEDY_TRACE_SPAN("fairness/analyze");
   REMEDY_CHECK(static_cast<int>(predictions.size()) == test.NumRows());
   REMEDY_CHECK(test.schema().NumProtected() > 0);
 
   SubgroupAnalysis analysis;
   analysis.statistic = statistic;
 
-  // Per-position relevance/error indicators for the chosen statistic.
-  const int n = view ? static_cast<int>(view->size()) : test.NumRows();
-  std::vector<char> relevant(n), error(n);
+  Hierarchy hierarchy(test);
+  const RegionCounter& counter = hierarchy.counter();
+  const uint32_t leaf = hierarchy.LeafMask();
+  const int num_rows = test.NumRows();
+  const int n = view ? static_cast<int>(view->size()) : num_rows;
+  std::vector<NodeTable::Entry> all, relevant;
+  all.reserve(n);
+  relevant.reserve(n);
   int64_t total_relevant = 0, total_errors = 0;
   for (int i = 0; i < n; ++i) {
-    const int r = view ? (*view)[i] : i;
+    int r = i;
+    if (view) {
+      r = (*view)[i];
+      REMEDY_CHECK(r >= 0 && r < num_rows)
+          << "view row " << r << " outside the " << num_rows
+          << "-row test set";
+    }
     bool in_class = false;
     bool event = false;
     switch (statistic) {
@@ -76,8 +90,9 @@ SubgroupAnalysis AnalyzeImpl(const Dataset& test,
         event = predictions[r] != test.Label(r);
         break;
     }
-    relevant[i] = in_class;
-    error[i] = event;
+    const uint64_t key = counter.RowKey(test, r, leaf);
+    all.push_back({key, {in_class, !in_class}});
+    if (in_class) relevant.push_back({key, {event, !event}});
     total_relevant += in_class;
     total_errors += event;
   }
@@ -85,48 +100,42 @@ SubgroupAnalysis AnalyzeImpl(const Dataset& test,
                          ? static_cast<double>(total_errors) / total_relevant
                          : 0.0;
 
-  Hierarchy hierarchy(test);
-  const RegionCounter& counter = hierarchy.counter();
-  for (uint32_t mask : hierarchy.BottomUpMasks()) {
-    // Tally every subgroup of this node in one pass.
-    std::unordered_map<uint64_t, GroupTally> tallies;
-    for (int i = 0; i < n; ++i) {
-      const int r = view ? (*view)[i] : i;
-      GroupTally& tally = tallies[counter.RowKey(test, r, mask)];
-      ++tally.size;
-      tally.relevant += relevant[i];
-      tally.errors += error[i];
-    }
-
-    std::vector<uint64_t> keys;
-    keys.reserve(tallies.size());
-    for (const auto& [key, tally] : tallies) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-
-    for (uint64_t key : keys) {
-      const GroupTally& tally = tallies.at(key);
-      if (tally.size < min_size) continue;
-      double support = static_cast<double>(tally.size) / n;
+  // Emits one node's reports: a merge-walk of its two ascending tables
+  // (every key with a relevant row is in both).
+  const auto emit = [&](uint32_t mask,
+                        const std::array<NodeTable, 2>& tables) {
+    NodeTable::const_iterator errors_it = tables[1].begin();
+    for (const auto& [key, counts] : tables[0]) {
+      const int64_t size = counts.Total();
+      const int64_t group_relevant = counts.positives;
+      if (group_relevant == 0) continue;  // statistic undefined for group
+      while (errors_it->first < key) ++errors_it;
+      REMEDY_DCHECK(errors_it->first == key &&
+                    errors_it->second.Total() == group_relevant);
+      const int64_t errors = errors_it->second.positives;
+      if (size < min_size) continue;
+      double support = static_cast<double>(size) / n;
       if (support < min_support) continue;
-      if (tally.relevant == 0) continue;  // statistic undefined for group
 
       SubgroupReport report;
       report.pattern = counter.PatternFor(key, mask);
-      report.size = tally.size;
+      report.size = size;
       report.support = support;
-      report.relevant = tally.relevant;
-      report.errors = tally.errors;
-      report.statistic =
-          static_cast<double>(tally.errors) / tally.relevant;
+      report.relevant = group_relevant;
+      report.errors = errors;
+      report.statistic = static_cast<double>(errors) / group_relevant;
       report.divergence = std::fabs(report.statistic - analysis.overall);
       report.p_value =
-          WelchTTestBernoulli(tally.errors, tally.relevant,
-                              total_errors - tally.errors,
-                              total_relevant - tally.relevant)
+          WelchTTestBernoulli(errors, group_relevant, total_errors - errors,
+                              total_relevant - group_relevant)
               .p_value;
       analysis.subgroups.push_back(std::move(report));
     }
-  }
+  };
+  hierarchy.RollUpLattice(
+      std::array<NodeTable, 2>{NodeTable(std::move(all)),
+                               NodeTable(std::move(relevant))},
+      emit);
   return analysis;
 }
 
@@ -145,10 +154,6 @@ SubgroupAnalysis AnalyzeSubgroupsView(const Dataset& test,
                                       const std::vector<int>& predictions,
                                       Statistic statistic, double min_support,
                                       int64_t min_size) {
-  for (int row : rows) {
-    REMEDY_DCHECK(row >= 0 && row < test.NumRows());
-    (void)row;
-  }
   return AnalyzeImpl(test, &rows, predictions, statistic, min_support,
                      min_size);
 }

@@ -51,6 +51,10 @@ struct SubgroupAnalysis {
 // support at least `min_support`, and reports its statistic, divergence and
 // significance. This is the library's DivExplorer-equivalent; the paper's
 // attribute domains are small enough for exhaustive enumeration to be exact.
+// Reports come node by node in Hierarchy::BottomUpMasks() order, ascending
+// region key within a node. Cost: one pass over the rows into a leaf
+// census, then a rollup of that census up the lattice (two levels alive at
+// a time).
 SubgroupAnalysis AnalyzeSubgroups(const Dataset& test,
                                   const std::vector<int>& predictions,
                                   Statistic statistic,
@@ -62,7 +66,8 @@ SubgroupAnalysis AnalyzeSubgroups(const Dataset& test,
 // Dataset. `predictions` stays indexed by original test row. Bitwise
 // identical to AnalyzeSubgroups(test.Select(rows), predictions gathered
 // through `rows`, ...): every tally is an integer count, so the evaluation
-// order cannot perturb the statistics.
+// order cannot perturb the statistics. Dies (release builds included) when
+// a row lies outside `test`.
 SubgroupAnalysis AnalyzeSubgroupsView(const Dataset& test,
                                       const std::vector<int>& rows,
                                       const std::vector<int>& predictions,
