@@ -79,11 +79,8 @@ double TimeNeighborPhase(const Dataset& data, IbsAlgorithm algorithm,
   double best = 0.0;
   for (int i = 0; i < std::max(1, repeats); ++i) {
     WallTimer timer;
-    for (uint32_t mask : hierarchy.BottomUpMasks()) {
-      std::vector<BiasedRegion> node = IdentifyIbsInNode(hierarchy, mask,
-                                                         params);
-      (void)node;
-    }
+    std::vector<BiasedRegion> ibs = SweepIbs(hierarchy, params);
+    (void)ibs;
     double seconds = timer.Seconds();
     if (i == 0 || seconds < best) best = seconds;
   }

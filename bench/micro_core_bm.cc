@@ -14,7 +14,6 @@
 #include "datagen/adult.h"
 #include "datagen/compas.h"
 #include "fairness/divergence.h"
-#include "mining/region_miner.h"
 
 namespace remedy {
 namespace {
@@ -188,17 +187,6 @@ void BM_AnalyzeSubgroups(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * test->NumRows());
 }
 BENCHMARK(BM_AnalyzeSubgroups)->Arg(10)->Arg(0)->UseRealTime();
-
-// Candidate enumeration by FP-growth instead of the full lattice sweep
-// (mining/region_miner.h): measures the frequent-pattern view of Theorem 1.
-void BM_IdentifyIbsWithMiner(benchmark::State& state) {
-  const Dataset& data = CompasData();
-  IbsParams params;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IdentifyIbsWithMiner(data, params));
-  }
-}
-BENCHMARK(BM_IdentifyIbsWithMiner);
 
 }  // namespace
 }  // namespace remedy

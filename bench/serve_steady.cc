@@ -1,8 +1,8 @@
 // Steady-state serving bench: small-batch ingest over a 1M+-row lattice at
 // the paper's maximal |X| = 8, measuring the identify-epoch latency of the
 // dirty-region incremental path (core/ibs_incremental.h) against the
-// from-scratch sweep the daemon's --identify-mode=full runs — per epoch,
-// with digest-checked parity (the bench exits nonzero the moment the two
+// from-scratch SweepIbs (core/ibs_identify.h), its oracle — per epoch, with
+// digest-checked parity (the bench exits nonzero the moment the two
 // disagree), plus the resulting steady-state batches/s.
 //
 // With `--json <path>` (default BENCH_serve.json) every per-epoch timing,
@@ -69,18 +69,6 @@ SyntheticSpec ServingSpec(int rows) {
                      {{-1, -1, 2, 3, -1, -1, -1, -1, -1}, -1.0}};
   spec.Validate();
   return spec;
-}
-
-// The full sweep the daemon's kFull mode runs per identify epoch.
-std::vector<BiasedRegion> FullSweep(Hierarchy& hierarchy,
-                                    const IbsParams& params) {
-  std::vector<BiasedRegion> ibs;
-  for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
-    std::vector<BiasedRegion> in_node =
-        IdentifyIbsInNode(hierarchy, mask, params);
-    ibs.insert(ibs.end(), in_node.begin(), in_node.end());
-  }
-  return ibs;
 }
 
 // One small ingest batch: `rows` label observations spread over `leaves`
@@ -198,7 +186,7 @@ int Run(int argc, char** argv) {
     // Full first: it reads the hierarchy without consuming the dirty set,
     // so both paths see the identical epoch state.
     WallTimer full_timer;
-    const std::vector<BiasedRegion> full = FullSweep(hierarchy, params);
+    const std::vector<BiasedRegion> full = SweepIbs(hierarchy, params);
     full_ms.push_back(full_timer.Seconds() * 1e3);
 
     WallTimer incr_timer;

@@ -37,9 +37,8 @@
 //                      remedy records). Testing hook.
 //
 // Daemon tuning: --queue-capacity N, --retry-after-ms MS, --watchdog N,
-// --checkpoint-every N, --identify-every N, --identify-mode MODE
-// (full|incremental, default incremental — see docs/SERVICE.md),
-// --threads N; audit params --tau-c X, --T X, --min-region N.
+// --checkpoint-every N, --identify-every N, --threads N; audit params
+// --tau-c X, --T X, --min-region N.
 //
 // Lifecycle: without --serve the daemon ingests the requested batches,
 // prints health, drains + checkpoints and exits. With --serve it then
@@ -117,7 +116,6 @@ struct ServeArgs {
   std::string trace_out;
   bool remedy_once = false;
   bool kill_after_remedy = false;
-  std::string identify_mode_name;  // parsed in Run: bad names exit 64
   ServeOptions options;
   LoaderOptions loader;
   bool protected_given = false;
@@ -134,8 +132,7 @@ void PrintUsage() {
       "  [--remedy ps|us|os|massage] [--auto-remedy]\n"
       "  [--remedy-seed N] [--remedy-rounds N] [--kill-after-remedy]\n"
       "  [--queue-capacity N] [--retry-after-ms MS] [--watchdog N]\n"
-      "  [--checkpoint-every N] [--identify-every N]\n"
-      "  [--identify-mode full|incremental] [--threads N]\n"
+      "  [--checkpoint-every N] [--identify-every N] [--threads N]\n"
       "  [--tau-c X] [--T X] [--min-region N]\n");
 }
 
@@ -217,8 +214,6 @@ ServeArgs ParseArgs(int argc, char** argv) {
       args.options.checkpoint_every_batches = std::atoll(value_of().c_str());
     } else if (arg == "--identify-every") {
       args.options.identify_every_epochs = std::atoi(value_of().c_str());
-    } else if (arg == "--identify-mode") {
-      args.identify_mode_name = value_of();
     } else if (arg == "--threads") {
       args.options.build_threads = std::atoi(value_of().c_str());
     } else if (arg == "--tau-c") {
@@ -364,18 +359,6 @@ void WriteTrace(const ServeArgs& args) {
 }
 
 int Run(ServeArgs& args, const sigset_t& signals) {
-  if (!args.identify_mode_name.empty()) {
-    if (args.identify_mode_name == "full") {
-      args.options.identify_mode = IdentifyMode::kFull;
-    } else if (args.identify_mode_name == "incremental") {
-      args.options.identify_mode = IdentifyMode::kIncremental;
-    } else {
-      return Fail("bad --identify-mode",
-                  InvalidArgumentError("'" + args.identify_mode_name +
-                                       "' is not a mode; the modes are "
-                                       "full|incremental"));
-    }
-  }
   StatusOr<Dataset> schema_data = LoadSchemaDataset(&args);
   if (!schema_data.ok()) return Fail("schema load failed", schema_data.status());
   const Dataset& data = schema_data.value();

@@ -1,7 +1,6 @@
 #include "core/ibs_identify.h"
 
 #include <cmath>
-#include <iterator>
 
 #include "common/check.h"
 #include "common/pipeline_metrics.h"
@@ -27,12 +26,12 @@ std::vector<uint32_t> ScopeMasks(const Hierarchy& hierarchy, IbsScope scope) {
   return {};
 }
 
-RegionVerdict ScoreRegion(Hierarchy& hierarchy,
-                          NeighborhoodCalculator& neighborhood,
-                          bool use_optimized, uint32_t mask, uint64_t key,
-                          const RegionCounts& counts, const IbsParams& params,
-                          BiasedRegion* out) {
-  if (counts.Total() <= params.min_region_size) return RegionVerdict::kSkipped;
+void ScoreRegion(Hierarchy& hierarchy, NeighborhoodCalculator& neighborhood,
+                 bool use_optimized, uint32_t mask, uint64_t key,
+                 const RegionCounts& counts, const IbsParams& params,
+                 std::vector<KeyedRegion>* biased, ScoredTally* tally) {
+  if (counts.Total() <= params.min_region_size) return;
+  use_optimized ? ++tally->optimized : ++tally->naive;
   Pattern pattern = hierarchy.counter().PatternFor(key, mask);
   RegionCounts neighbor_counts =
       use_optimized ? neighborhood.OptimizedNeighborCounts(pattern, counts)
@@ -40,46 +39,82 @@ RegionVerdict ScoreRegion(Hierarchy& hierarchy,
   double ratio = ImbalanceScore(counts);
   double neighbor_ratio = ImbalanceScore(neighbor_counts);
   if (std::abs(ratio - neighbor_ratio) <= params.imbalance_threshold) {
-    return RegionVerdict::kUnbiased;
+    return;
   }
-  *out = {std::move(pattern), counts, neighbor_counts, ratio, neighbor_ratio};
-  return RegionVerdict::kBiased;
+  biased->emplace_back(key, BiasedRegion{std::move(pattern), counts,
+                                         neighbor_counts, ratio,
+                                         neighbor_ratio});
 }
+
+void ScoreNode(Hierarchy& hierarchy, NeighborhoodCalculator& neighborhood,
+               uint32_t mask, const IbsParams& params,
+               std::vector<KeyedRegion>* biased, ScoredTally* tally) {
+  const bool use_optimized =
+      params.algorithm == IbsAlgorithm::kOptimized &&
+      neighborhood.SupportsOptimized(mask);
+  // NodeTable iteration is already in ascending key order, so the sweep is
+  // deterministic without re-sorting, and each entry carries its counts —
+  // no second lookup per region.
+  for (const auto& [key, counts] : hierarchy.NodeCounts(mask)) {
+    ScoreRegion(hierarchy, neighborhood, use_optimized, mask, key, counts,
+                params, biased, tally);
+  }
+}
+
+namespace {
+
+// Publishes a sweep's tallies once, so the per-region loop costs no
+// atomics.
+void PublishSweep(int64_t nodes, int64_t hits, const ScoredTally& tally) {
+  const PipelineMetrics& metrics = PipelineMetrics::Get();
+  metrics.ibs_nodes_visited->Increment(nodes);
+  metrics.ibs_hits->Increment(hits);
+  if (tally.optimized > 0) {
+    metrics.ibs_neighbor_reuse->Increment(tally.optimized);
+  }
+  if (tally.naive > 0) metrics.ibs_neighbor_naive->Increment(tally.naive);
+}
+
+}  // namespace
 
 std::vector<BiasedRegion> IdentifyIbsInNode(Hierarchy& hierarchy,
                                             uint32_t mask,
                                             const IbsParams& params) {
   NeighborhoodCalculator neighborhood(hierarchy, params.distance_threshold);
-  const bool use_optimized =
-      params.algorithm == IbsAlgorithm::kOptimized &&
-      neighborhood.SupportsOptimized(mask);
-
-  // NodeTable iteration is already in ascending key order, so the sweep is
-  // deterministic without re-sorting, and each entry carries its counts —
-  // no second lookup per region.
-  const NodeTable& node = hierarchy.NodeCounts(mask);
+  std::vector<KeyedRegion> keyed;
+  ScoredTally tally;
+  ScoreNode(hierarchy, neighborhood, mask, params, &keyed, &tally);
+  PublishSweep(1, static_cast<int64_t>(keyed.size()), tally);
   std::vector<BiasedRegion> biased;
-  // Batch the per-region tallies locally and publish once per node, so the
-  // inner sweep costs no atomics.
-  int64_t reuse = 0;
-  int64_t naive = 0;
-  for (const auto& [key, counts] : node) {
-    BiasedRegion region;
-    const RegionVerdict verdict = ScoreRegion(
-        hierarchy, neighborhood, use_optimized, mask, key, counts, params,
-        &region);
-    if (verdict == RegionVerdict::kSkipped) continue;
-    use_optimized ? ++reuse : ++naive;
-    if (verdict == RegionVerdict::kBiased) {
-      biased.push_back(std::move(region));
-    }
-  }
-  const PipelineMetrics& metrics = PipelineMetrics::Get();
-  metrics.ibs_nodes_visited->Increment();
-  metrics.ibs_hits->Increment(static_cast<int64_t>(biased.size()));
-  if (reuse > 0) metrics.ibs_neighbor_reuse->Increment(reuse);
-  if (naive > 0) metrics.ibs_neighbor_naive->Increment(naive);
+  biased.reserve(keyed.size());
+  for (auto& [key, region] : keyed) biased.push_back(std::move(region));
   return biased;
+}
+
+std::vector<NodeIbs> SweepIbsByNode(Hierarchy& hierarchy,
+                                    const IbsParams& params) {
+  NeighborhoodCalculator neighborhood(hierarchy, params.distance_threshold);
+  std::vector<NodeIbs> nodes;
+  ScoredTally tally;
+  int64_t hits = 0;
+  for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
+    REMEDY_TRACE_SPAN_ARG("ibs/node", mask);
+    NodeIbs& node = nodes.emplace_back();
+    node.mask = mask;
+    ScoreNode(hierarchy, neighborhood, mask, params, &node.biased, &tally);
+    hits += static_cast<int64_t>(node.biased.size());
+  }
+  PublishSweep(static_cast<int64_t>(nodes.size()), hits, tally);
+  return nodes;
+}
+
+std::vector<BiasedRegion> SweepIbs(Hierarchy& hierarchy,
+                                   const IbsParams& params) {
+  std::vector<BiasedRegion> ibs;
+  for (NodeIbs& node : SweepIbsByNode(hierarchy, params)) {
+    for (auto& [key, region] : node.biased) ibs.push_back(std::move(region));
+  }
+  return ibs;
 }
 
 namespace {
@@ -91,15 +126,7 @@ StatusOr<std::vector<BiasedRegion>> IdentifyWithHierarchy(
   // A spilled store maps its shard files here, so a missing or truncated
   // spill is a clean error from IdentifyIbs instead of a crash mid-count.
   RETURN_IF_ERROR(hierarchy.PrepareCounting());
-  std::vector<BiasedRegion> ibs;
-  for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
-    REMEDY_TRACE_SPAN_ARG("ibs/node", mask);
-    std::vector<BiasedRegion> node_biased =
-        IdentifyIbsInNode(hierarchy, mask, params);
-    ibs.insert(ibs.end(), std::make_move_iterator(node_biased.begin()),
-               std::make_move_iterator(node_biased.end()));
-  }
-  return ibs;
+  return SweepIbs(hierarchy, params);
 }
 
 }  // namespace

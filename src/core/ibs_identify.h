@@ -1,6 +1,8 @@
 #ifndef REMEDY_CORE_IBS_IDENTIFY_H_
 #define REMEDY_CORE_IBS_IDENTIFY_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -63,28 +65,59 @@ StatusOr<std::vector<BiasedRegion>> IdentifyIbs(const Dataset& data,
 StatusOr<std::vector<BiasedRegion>> IdentifyIbs(
     const ColumnarShardStore& store, const IbsParams& params);
 
-// Same, but reusing a caller-owned hierarchy (so the remedy loop can share
-// memoized node counts across nodes of one pass).
+// The regions of node `mask` only, over a caller-owned hierarchy (so the
+// remedy loop can share memoized node counts across nodes of one pass).
 std::vector<BiasedRegion> IdentifyIbsInNode(Hierarchy& hierarchy,
                                             uint32_t mask,
                                             const IbsParams& params);
 
-// Outcome of scoring one region: too small to judge, judged clean, or
-// judged biased (out filled).
-enum class RegionVerdict { kSkipped, kUnbiased, kBiased };
+// A biased region with its key in its node's key space.
+using KeyedRegion = std::pair<uint64_t, BiasedRegion>;
 
-// Scores the region at `key` of node `mask` exactly as the full
-// IdentifyIbsInNode sweep does — the one scoring implementation both the
-// full and the incremental identify paths run, which is what makes their
-// outputs bit-identical by construction (same inputs, same float ops).
-// `use_optimized` must be `params.algorithm == kOptimized &&
+// Regions judged (larger than k), by neighbor strategy — the
+// ibs/neighbor_reuse and ibs/neighbor_naive tallies.
+struct ScoredTally {
+  int64_t optimized = 0;
+  int64_t naive = 0;
+};
+
+// Scores the region at `key` of node `mask` — the one scoring
+// implementation both the full and the incremental identify paths run,
+// which is what makes their outputs bit-identical by construction (same
+// inputs, same float ops). A region larger than k is counted in `tally`,
+// and appended with its key to `biased` if it is biased. `use_optimized`
+// must be `params.algorithm == kOptimized &&
 // neighborhood.SupportsOptimized(mask)`, i.e. the caller resolves the
 // strategy once per node.
-RegionVerdict ScoreRegion(Hierarchy& hierarchy,
-                          NeighborhoodCalculator& neighborhood,
-                          bool use_optimized, uint32_t mask, uint64_t key,
-                          const RegionCounts& counts, const IbsParams& params,
-                          BiasedRegion* out);
+void ScoreRegion(Hierarchy& hierarchy, NeighborhoodCalculator& neighborhood,
+                 bool use_optimized, uint32_t mask, uint64_t key,
+                 const RegionCounts& counts, const IbsParams& params,
+                 std::vector<KeyedRegion>* biased, ScoredTally* tally);
+
+// The one per-node scoring loop: ScoreRegion over every region of node
+// `mask` in ascending key order (the NodeTable's iteration order). The
+// full sweep and the incremental path's whole-node re-sweep both run it.
+void ScoreNode(Hierarchy& hierarchy, NeighborhoodCalculator& neighborhood,
+               uint32_t mask, const IbsParams& params,
+               std::vector<KeyedRegion>* biased, ScoredTally* tally);
+
+// The biased regions of one lattice node, ascending by key.
+struct NodeIbs {
+  uint32_t mask = 0;
+  std::vector<KeyedRegion> biased;
+};
+
+// The from-scratch identify sweep (Algorithm 1) over a caller-owned
+// hierarchy, and the one lattice loop: ScoreNode on every node of
+// ScopeMasks(params.scope), in that order. IdentifyIbs runs it on a fresh hierarchy, IncrementalIbsState's
+// full pass keeps its per-node output as the verdict cache, and the
+// incremental parity checks use SweepIbs as their oracle.
+std::vector<NodeIbs> SweepIbsByNode(Hierarchy& hierarchy,
+                                    const IbsParams& params);
+
+// The same sweep, its regions flattened into the IBS in traversal order.
+std::vector<BiasedRegion> SweepIbs(Hierarchy& hierarchy,
+                                   const IbsParams& params);
 
 // Node masks visited under `scope`, in traversal order.
 std::vector<uint32_t> ScopeMasks(const Hierarchy& hierarchy, IbsScope scope);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -44,21 +43,7 @@ std::vector<BiasedRegion> IncrementalIbsState::FullPass(
   PipelineMetrics::Get().ibs_incr_full_fallbacks->Increment();
   stats_ = {};
   last_fallback_reason_ = reason;
-  nodes_.clear();
-  std::vector<BiasedRegion> out;
-  for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
-    std::vector<BiasedRegion> node_biased =
-        IdentifyIbsInNode(hierarchy, mask, params);
-    NodeCache& cached = nodes_.emplace_back();
-    cached.mask = mask;
-    cached.biased.reserve(node_biased.size());
-    for (const BiasedRegion& region : node_biased) {
-      cached.biased.emplace_back(
-          hierarchy.counter().KeyFor(region.pattern, mask), region);
-    }
-    out.insert(out.end(), std::make_move_iterator(node_biased.begin()),
-               std::make_move_iterator(node_biased.end()));
-  }
+  nodes_ = SweepIbsByNode(hierarchy, params);
   have_cache_ = true;
   pending_reason_.clear();
   cached_hierarchy_ = &hierarchy;
@@ -68,6 +53,17 @@ std::vector<BiasedRegion> IncrementalIbsState::FullPass(
   hierarchy.EnableDirtyTracking();
   hierarchy.ClearDirtySet();
   cached_generation_ = hierarchy.mutation_generation();
+  return CachedIbs();
+}
+
+std::vector<BiasedRegion> IncrementalIbsState::CachedIbs() const {
+  size_t total = 0;
+  for (const NodeIbs& node : nodes_) total += node.biased.size();
+  std::vector<BiasedRegion> out;
+  out.reserve(total);
+  for (const NodeIbs& node : nodes_) {
+    for (const auto& [key, region] : node.biased) out.push_back(region);
+  }
   return out;
 }
 
@@ -91,26 +87,8 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
   }
 
   NeighborhoodCalculator neighborhood(hierarchy, params.distance_threshold);
-  int64_t reuse = 0;
-  int64_t naive = 0;
-  // Scores one region as the full sweep does; keeps a biased verdict.
-  auto rescore = [&](uint32_t mask, bool use_optimized, uint64_t key,
-                     const RegionCounts& counts,
-                     std::vector<std::pair<uint64_t, BiasedRegion>>* fresh) {
-    BiasedRegion region;
-    const RegionVerdict verdict = ScoreRegion(
-        hierarchy, neighborhood, use_optimized, mask, key, counts, params,
-        &region);
-    if (verdict == RegionVerdict::kSkipped) return;
-    ++stats_.rescored_regions;
-    use_optimized ? ++reuse : ++naive;
-    if (verdict == RegionVerdict::kBiased) {
-      fresh->emplace_back(key, std::move(region));
-    }
-  };
-
-  size_t total_biased = 0;
-  for (NodeCache& cached : nodes_) {
+  ScoredTally tally;
+  for (NodeIbs& cached : nodes_) {
     const uint32_t mask = cached.mask;
     auto dirty_it = dirty.touched.find(mask);
     const bool node_dirty =
@@ -122,13 +100,10 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     // verdict is exact.
     if (!node_dirty && !(whole_node && totals_drifted)) {
       stats_.cached_regions += static_cast<int64_t>(cached.biased.size());
-      total_biased += cached.biased.size();
       continue;
     }
 
     const NodeTable& node = hierarchy.NodeCounts(mask);
-    const bool use_optimized = params.algorithm == IbsAlgorithm::kOptimized &&
-                               neighborhood.SupportsOptimized(mask);
     const size_t num_dirty = node_dirty ? dirty_it->second.size() : 0;
     stats_.dirty_regions += static_cast<int64_t>(num_dirty);
 
@@ -139,16 +114,13 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     //  * the cutover: the dirty keys reach kCutoverDirtyShare of the node's
     //    entries, where expanding and merging their frontier would cost
     //    more than scoring every entry once.
-    std::vector<std::pair<uint64_t, BiasedRegion>> fresh;
+    std::vector<KeyedRegion> fresh;
     if ((whole_node && totals_drifted) ||
         static_cast<double>(num_dirty) >=
             kCutoverDirtyShare * static_cast<double>(node.size())) {
       ++stats_.full_node_rescores;
-      for (const auto& [key, counts] : node) {
-        rescore(mask, use_optimized, key, counts, &fresh);
-      }
+      ScoreNode(hierarchy, neighborhood, mask, params, &fresh, &tally);
       cached.biased = std::move(fresh);
-      total_biased += cached.biased.size();
       continue;
     }
 
@@ -175,6 +147,8 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     // Merge: walk the cached biased verdicts and the re-evaluation keys in
     // one ascending-key sweep — the NodeTable iteration order of the full
     // sweep — keeping untouched verdicts and re-scoring the rest.
+    const bool use_optimized = params.algorithm == IbsAlgorithm::kOptimized &&
+                               neighborhood.SupportsOptimized(mask);
     size_t ci = 0;
     size_t ri = 0;
     while (ci < cached.biased.size() || ri < reeval.size()) {
@@ -193,20 +167,15 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
       // A frontier key with no table entry is a region the full sweep never
       // visits (it iterates entries only) — nothing to score.
       if (it == node.end()) continue;
-      rescore(mask, use_optimized, key, it->second, &fresh);
+      ScoreRegion(hierarchy, neighborhood, use_optimized, mask, key,
+                  it->second, params, &fresh, &tally);
     }
     cached.biased = std::move(fresh);
-    total_biased += cached.biased.size();
   }
   hierarchy.ClearDirtySet();
   cached_generation_ = hierarchy.mutation_generation();
-
-  // The merged per-node verdicts, in scope order: one exact-size copy.
-  std::vector<BiasedRegion> out;
-  out.reserve(total_biased);
-  for (const NodeCache& cached : nodes_) {
-    for (const auto& [key, region] : cached.biased) out.push_back(region);
-  }
+  stats_.rescored_regions = tally.optimized + tally.naive;
+  std::vector<BiasedRegion> out = CachedIbs();
 
   const PipelineMetrics& metrics = PipelineMetrics::Get();
   metrics.ibs_incr_dirty_leaves->Increment(stats_.dirty_leaves);
@@ -214,15 +183,17 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
   metrics.ibs_incr_neighborhood_expansions->Increment(
       stats_.expanded_regions);
   metrics.ibs_incr_cache_hits->Increment(stats_.cached_regions);
-  if (reuse > 0) metrics.ibs_neighbor_reuse->Increment(reuse);
-  if (naive > 0) metrics.ibs_neighbor_naive->Increment(naive);
+  if (tally.optimized > 0) {
+    metrics.ibs_neighbor_reuse->Increment(tally.optimized);
+  }
+  if (tally.naive > 0) metrics.ibs_neighbor_naive->Increment(tally.naive);
   metrics.ibs_incr_identify_ns->Observe(MonotonicNanos() - start_ns);
   return out;
 }
 
 uint64_t IncrementalIbsState::SubgroupKeyDigest() const {
   uint64_t digest = kFnv1a64Offset;
-  for (const NodeCache& cached : nodes_) {
+  for (const NodeIbs& cached : nodes_) {
     for (const auto& [key, region] : cached.biased) {
       uint8_t bytes[12];
       for (int i = 0; i < 4; ++i) bytes[i] = (cached.mask >> (8 * i)) & 0xff;

@@ -26,12 +26,11 @@ struct IncrementalIdentifyStats {
 // pass's per-node biased verdicts and, on the next pass, re-scores only the
 // regions the interim ApplyDeltas batches touched (Hierarchy::dirty_set())
 // plus their comparison neighborhoods, merging with the cached verdicts
-// elsewhere. The output is bit-identical to a from-scratch sweep of
-// IdentifyIbsInNode over ScopeMasks — same regions, same floats, same
-// order — because:
+// elsewhere. The output is bit-identical to the from-scratch SweepIbs —
+// same regions, same floats, same order — because:
 //
 //  * every re-scored region runs the exact ScoreRegion the full sweep runs,
-//    on the same NodeTable counts;
+//    on the same NodeTable counts (a whole-node re-sweep runs its ScoreNode);
 //  * a region is re-scored iff its verdict's inputs could have changed: its
 //    own counts changed (it is dirty), or a region within distance T of it
 //    changed (the dirty frontier expanded one neighborhood hop — the metric
@@ -96,22 +95,20 @@ class IncrementalIbsState {
   static constexpr double kCutoverDirtyShare = 0.05;
 
  private:
-  struct NodeCache {
-    uint32_t mask = 0;
-    // Biased verdicts of the node, ascending by region key.
-    std::vector<std::pair<uint64_t, BiasedRegion>> biased;
-  };
-
   // Non-empty reason iff the cache cannot serve `hierarchy` + `params`.
   std::string FullPassReason(const Hierarchy& hierarchy,
                              const IbsParams& params) const;
 
+  // Refills the cache with SweepIbsByNode; returns CachedIbs().
   std::vector<BiasedRegion> FullPass(Hierarchy& hierarchy,
                                      const IbsParams& params,
                                      const std::string& reason);
 
+  // The cached per-node verdicts flattened in scope order (a copy).
+  std::vector<BiasedRegion> CachedIbs() const;
+
   // Per-node verdict caches, in the ScopeMasks traversal order.
-  std::vector<NodeCache> nodes_;
+  std::vector<NodeIbs> nodes_;
   bool have_cache_ = false;
   std::string pending_reason_ = "cold_cache";  // non-empty: full pass forced
   const Hierarchy* cached_hierarchy_ = nullptr;

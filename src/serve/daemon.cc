@@ -120,8 +120,6 @@ StatusOr<std::unique_ptr<ServeDaemon>> ServeDaemon::Start(
                          return OkStatus();
                        }));
   daemon->last_committed_sequence_ = replay.last_sequence;
-  daemon->counting_backend_name_ =
-      CountingBackendName(daemon->hierarchy_->counting_backend());
   ASSIGN_OR_RETURN(daemon->wal_,
                    DeltaWal::Open(daemon->wal_path_, daemon->schema_digest_,
                                   replay.last_sequence + 1));
@@ -574,13 +572,9 @@ void ServeDaemon::PublishSnapshot() {
   auto snapshot = std::make_shared<EpochSnapshot>();
   if (identify) {
     REMEDY_TRACE_SPAN("serve/identify");
-    // Both modes run the one identify state: kFull forces its full pass,
-    // kIncremental lets it go incremental whenever it can prove the result
-    // bit-identical (it self-falls-back on cold cache, recovery, or
-    // anything else it cannot prove).
-    if (options_.identify_mode == IdentifyMode::kFull) {
-      ibs_state_.Invalidate("identify_mode_full");
-    }
+    // Incremental whenever the state can prove the result bit-identical to
+    // a full SweepIbs; it falls back to that sweep on a cold cache, after
+    // recovery, or on anything else it cannot prove.
     // Moved, not copied: the snapshot owns this epoch's IBS from here on.
     snapshot->ibs = ibs_state_.Identify(*hierarchy_, options_.ibs);
     {
@@ -796,10 +790,8 @@ std::string ServeDaemon::HealthJson() const {
   std::string json = "{";
   json += "\"status\":\"" +
           std::string(is_read_only ? "read_only" : "serving") + "\",";
-  // Counting backend and remedy state first, so operators can correlate
-  // this report with the guarantees of docs/SERVICE.md + docs/REMEDY.md.
-  json += "\"counting_backend\":\"" + std::string(counting_backend_name_) +
-          "\",";
+  // Remedy state first, so operators can correlate this report with the
+  // guarantees of docs/REMEDY.md.
   json += "\"remedy_enabled\":" +
           std::string(RemedyEnabled() ? "true" : "false") + ",";
   json += "\"auto_remedy\":" +
@@ -829,11 +821,6 @@ std::string ServeDaemon::HealthJson() const {
   json += "\"needs_recovery\":" + std::string(lagging ? "true" : "false") +
           ",";
   json += "\"trip_reason\":\"" + EscapeJson(reason) + "\",";
-  json += "\"identify_mode\":\"" +
-          std::string(options_.identify_mode == IdentifyMode::kIncremental
-                          ? "incremental"
-                          : "full") +
-          "\",";
   json += "\"identify\":{\"last_epoch_incremental\":" +
           std::string(identify.last_incremental ? "true" : "false") +
           ",\"dirty_leaves\":" + std::to_string(identify.dirty_leaves) +

@@ -23,18 +23,6 @@ namespace remedy {
 
 struct CsvTable;
 
-// How PublishSnapshot maintains the per-epoch IBS (--identify-mode). Both
-// modes drive the daemon's one IncrementalIbsState (core/ibs_incremental.h):
-// kFull forces its full pass, re-scoring the whole lattice every identify
-// epoch; kIncremental re-scores only the regions the epoch's deltas touched
-// plus their comparison neighborhoods, falling back to a full sweep on
-// recovery and cold starts. Output is bit-identical either way — the mode
-// only moves the per-epoch cost.
-enum class IdentifyMode {
-  kFull,
-  kIncremental,
-};
-
 // The crash-safe streaming fairness daemon (see docs/SERVICE.md).
 //
 // Row deltas stream in as CSV batches, land in a bounded ingest queue
@@ -79,8 +67,6 @@ struct ServeOptions {
   // 0 = never; the snapshot then carries the previous epoch's IBS). The
   // online monitor only sees change at identify epochs.
   int identify_every_epochs = 1;
-  // Full vs dirty-region incremental identify (see IdentifyMode above).
-  IdentifyMode identify_mode = IdentifyMode::kIncremental;
 
   // Rollup fan-out of the recovery-time EagerBuild (<= 0 = all CPUs).
   int build_threads = 1;
@@ -281,7 +267,6 @@ class ServeDaemon {
   std::string wal_path_;
   std::string checkpoint_path_;
   RemedyParams remedy_params_;  // options_.remedy with ibs = options_.ibs
-  const char* counting_backend_name_ = "scalar";  // fixed before serving
 
   // Engine state: everything the apply thread owns between commits.
   mutable std::mutex engine_mu_;

@@ -5,13 +5,13 @@
 // ingest, retractions, remedy-style label flips, brand-new subgroups — are
 // applied to a lattice, and after EVERY epoch the incremental identify must
 // be byte-identical (same IbsSetDigest, same region-for-region fields) to a
-// from-scratch IdentifyIbsInNode sweep of the same hierarchy, across
+// from-scratch SweepIbs of the same hierarchy, across
 // random schemas, both neighbor algorithms, ordinal metrics, whole-node
 // distance regimes, and EagerBuild thread counts {1, 2, 4, 0}. The rest
 // pins the fallback ladder (cold cache, params change, rebuild, swap,
-// explicit Invalidate) and the serve wiring: daemon digest parity between
-// --identify-mode full and incremental, copy-on-write of the leaf census,
-// and WAL-replay recovery forcing a full first identify.
+// explicit Invalidate) and the serve wiring: the daemon's per-epoch IBS
+// against a SweepIbs oracle, copy-on-write of the leaf census, and
+// WAL-replay recovery forcing a full first identify.
 
 #include <gtest/gtest.h>
 
@@ -52,18 +52,6 @@ constexpr int kLongStreamEpochs = 220;
 constexpr int kSpecSeeds = 4;
 constexpr int kShortStreamEpochs = 60;
 #endif
-
-// The full sweep the daemon's kFull mode runs — the parity oracle.
-std::vector<BiasedRegion> FullSweep(Hierarchy& hierarchy,
-                                    const IbsParams& params) {
-  std::vector<BiasedRegion> ibs;
-  for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
-    std::vector<BiasedRegion> in_node =
-        IdentifyIbsInNode(hierarchy, mask, params);
-    ibs.insert(ibs.end(), in_node.begin(), in_node.end());
-  }
-  return ibs;
-}
 
 // Field-for-field equality with useful failure output; the digest alone
 // would say "different" without saying where.
@@ -233,7 +221,7 @@ StreamPaths RunParityStream(Hierarchy& hierarchy, const IbsParams& params,
                                  : RandomBatch(hierarchy, rng),
                           /*insert_missing=*/true);
     std::vector<BiasedRegion> incremental = state.Identify(hierarchy, params);
-    std::vector<BiasedRegion> full = FullSweep(hierarchy, params);
+    std::vector<BiasedRegion> full = SweepIbs(hierarchy, params);
     const std::string at = where + " epoch " + std::to_string(epoch);
     ExpectSameIbs(incremental, full, at);
     const IncrementalIdentifyStats& stats = state.last_stats();
@@ -355,7 +343,7 @@ TEST(IbsIncrementalTest, ColdStartCensusCutsOverEveryNode) {
             static_cast<int64_t>(ScopeMasks(hierarchy, params.scope).size()));
   EXPECT_EQ(state.last_stats().expanded_regions, 0);
   EXPECT_FALSE(incremental.empty());
-  ExpectSameIbs(incremental, FullSweep(hierarchy, params), "cold census");
+  ExpectSameIbs(incremental, SweepIbs(hierarchy, params), "cold census");
 }
 
 TEST(IbsIncrementalTest, RandomSchemasBothAlgorithms) {
@@ -412,7 +400,7 @@ TEST(IbsIncrementalTest, ParityAcrossThreadCounts) {
       hierarchy.ApplyDeltas(stream[epoch], /*insert_missing=*/true);
       std::vector<BiasedRegion> incremental =
           state.Identify(hierarchy, params);
-      std::vector<BiasedRegion> full = FullSweep(hierarchy, params);
+      std::vector<BiasedRegion> full = SweepIbs(hierarchy, params);
       ExpectSameIbs(incremental, full,
                     "threads " + std::to_string(threads) + " epoch " +
                         std::to_string(epoch));
@@ -502,7 +490,7 @@ TEST(IbsIncrementalTest, WholeNodeRegimeTotalsDriftAndSteadyFlips) {
   hierarchy.ApplyDeltas({{0 * kCard + 0, -3, 3}, {1 * kCard + 1, 3, -3}},
                         /*insert_missing=*/true);
   std::vector<BiasedRegion> incremental = state.Identify(hierarchy, params);
-  ExpectSameIbs(incremental, FullSweep(hierarchy, params), "steady flips");
+  ExpectSameIbs(incremental, SweepIbs(hierarchy, params), "steady flips");
   EXPECT_TRUE(state.last_stats().incremental);
   EXPECT_EQ(state.last_stats().full_node_rescores, 0)
       << "steady totals must not trigger whole-node re-sweeps";
@@ -510,7 +498,7 @@ TEST(IbsIncrementalTest, WholeNodeRegimeTotalsDriftAndSteadyFlips) {
   // Ingest: the totals drift, every whole-node neighborhood moves.
   hierarchy.ApplyDeltas({{0 * kCard + 1, 7, 0}}, /*insert_missing=*/true);
   incremental = state.Identify(hierarchy, params);
-  ExpectSameIbs(incremental, FullSweep(hierarchy, params), "totals drift");
+  ExpectSameIbs(incremental, SweepIbs(hierarchy, params), "totals drift");
   EXPECT_TRUE(state.last_stats().incremental);
   EXPECT_GT(state.last_stats().full_node_rescores, 0);
 }
@@ -609,7 +597,7 @@ TEST(IbsIncrementalTest, FallbackReasonsCoverTheLadder) {
   EXPECT_TRUE(state.last_stats().incremental);
   EXPECT_EQ(state.last_stats().rescored_regions, 0);
   EXPECT_EQ(state.last_stats().dirty_leaves, 0);
-  ExpectSameIbs(cached, FullSweep(other, params), "all-cached epoch");
+  ExpectSameIbs(cached, SweepIbs(other, params), "all-cached epoch");
   // Sticky: the incremental pass keeps the last fallback reason readable.
   EXPECT_EQ(state.last_fallback_reason(), "recovery");
 }
@@ -654,10 +642,9 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-ServeOptions DaemonOptions(const std::string& dir, IdentifyMode mode) {
+ServeOptions DaemonOptions(const std::string& dir) {
   ServeOptions options;
   options.state_dir = dir;
-  options.identify_mode = mode;
   options.ibs.min_region_size = 2;
   options.ibs.imbalance_threshold = 0.2;
   return options;
@@ -697,14 +684,17 @@ std::vector<std::pair<uint32_t, uint64_t>> SubgroupKeys(
   return keys;
 }
 
+// The daemon's incremental identify against the from-scratch sweep: after
+// every batch its published IBS must equal SweepIbs over an independent
+// hierarchy, count-seeded as the daemon's cold start is and fed the same
+// deltas.
 TEST(IbsIncrementalServeTest, DaemonModesProduceIdenticalIbs) {
   const DataSchema schema = SmallSchema();
-  auto full = ServeDaemon::Start(
-      schema, DaemonOptions(FreshDir("modefull"), IdentifyMode::kFull));
-  auto incremental = ServeDaemon::Start(
-      schema, DaemonOptions(FreshDir("modeincr"), IdentifyMode::kIncremental));
-  ASSERT_TRUE(full.ok()) << full.status();
-  ASSERT_TRUE(incremental.ok()) << incremental.status();
+  const ServeOptions options = DaemonOptions(FreshDir("oracle"));
+  auto daemon = ServeDaemon::Start(schema, options);
+  ASSERT_TRUE(daemon.ok()) << daemon.status();
+  Hierarchy oracle(schema, NodeTable{}, RegionCounts{});
+  ASSERT_TRUE(oracle.EagerBuild(1).ok());
 
   Rng rng(0x1ce);
   // Epoch 1 (the empty start) identified an empty set; alerts count the
@@ -721,39 +711,26 @@ TEST(IbsIncrementalServeTest, DaemonModesProduceIdenticalIbs) {
       }
     }
     if (deltas.empty()) deltas.push_back(Delta(0, 0, 1, 1));
-    ASSERT_TRUE(full.value()->Submit(deltas).ok());
-    ASSERT_TRUE(incremental.value()->Submit(deltas).ok());
-    ASSERT_TRUE(full.value()->Flush().ok());
-    ASSERT_TRUE(incremental.value()->Flush().ok());
-    EXPECT_EQ(full.value()->Snapshot()->counts_digest,
-              incremental.value()->Snapshot()->counts_digest);
-    EXPECT_EQ(IbsSetDigest(full.value()->QueryIbs()),
-              IbsSetDigest(incremental.value()->QueryIbs()))
-        << "identify modes diverged at batch " << batch;
-    // The monitor alerts exactly on the epochs whose subgroup set changed,
-    // in both modes.
+    ASSERT_TRUE(daemon.value()->Submit(deltas).ok());
+    ASSERT_TRUE(daemon.value()->Flush().ok());
+    oracle.ApplyDeltas(deltas, /*insert_missing=*/true);
+    EXPECT_EQ(daemon.value()->Snapshot()->counts_digest, oracle.CountsDigest());
+    const std::vector<BiasedRegion> served = daemon.value()->QueryIbs();
+    EXPECT_EQ(IbsSetDigest(served), IbsSetDigest(SweepIbs(oracle, options.ibs)))
+        << "daemon diverged from the sweep oracle at batch " << batch;
+    // The monitor alerts exactly on the epochs whose subgroup set changed.
     std::vector<std::pair<uint32_t, uint64_t>> keys =
-        SubgroupKeys(incremental.value()->QueryIbs(), schema);
+        SubgroupKeys(served, schema);
     if (keys != previous_keys) ++expected_alerts;
     previous_keys = std::move(keys);
-    EXPECT_EQ(HealthField(full.value()->HealthJson(), "monitor_alerts"),
-              std::to_string(expected_alerts))
-        << "batch " << batch;
-    EXPECT_EQ(HealthField(incremental.value()->HealthJson(), "monitor_alerts"),
+    EXPECT_EQ(HealthField(daemon.value()->HealthJson(), "monitor_alerts"),
               std::to_string(expected_alerts))
         << "batch " << batch;
   }
   EXPECT_GT(expected_alerts, 0) << "the stream never moved the subgroup set";
-  // kFull is the same identify state forced through its full pass.
-  const std::string full_health = full.value()->HealthJson();
-  EXPECT_EQ(HealthField(full_health, "fallback_reason"), "identify_mode_full")
-      << full_health;
-  EXPECT_EQ(HealthField(full_health, "last_epoch_incremental"), "false");
-  EXPECT_EQ(HealthField(incremental.value()->HealthJson(),
-                        "last_epoch_incremental"),
+  EXPECT_EQ(HealthField(daemon.value()->HealthJson(), "last_epoch_incremental"),
             "true");
-  EXPECT_TRUE(full.value()->Stop().ok());
-  EXPECT_TRUE(incremental.value()->Stop().ok());
+  EXPECT_TRUE(daemon.value()->Stop().ok());
 }
 
 TEST(IbsIncrementalServeTest, LeafCensusIsCopiedOnWriteOnly) {
@@ -763,8 +740,7 @@ TEST(IbsIncrementalServeTest, LeafCensusIsCopiedOnWriteOnly) {
   // underflow in aggregate are rejected before the WAL, but the drained
   // group still publishes.
   const DataSchema schema = SmallSchema();
-  ServeOptions options =
-      DaemonOptions(FreshDir("cow"), IdentifyMode::kIncremental);
+  ServeOptions options = DaemonOptions(FreshDir("cow"));
   options.enable_remedy = true;  // snapshots carry the census only then
   auto daemon = ServeDaemon::Start(schema, options);
   ASSERT_TRUE(daemon.ok()) << daemon.status();
@@ -795,12 +771,9 @@ TEST(IbsIncrementalServeTest, RecoveryForcesFullIdentifyThenIncremental) {
   const DataSchema schema = SmallSchema();
   const std::string dir = FreshDir("recovery");
   {
-    auto daemon = ServeDaemon::Start(
-        schema, DaemonOptions(dir, IdentifyMode::kIncremental));
+    auto daemon = ServeDaemon::Start(schema, DaemonOptions(dir));
     ASSERT_TRUE(daemon.ok()) << daemon.status();
     // A cold start is a full pass too, and says so.
-    EXPECT_EQ(HealthField(daemon.value()->HealthJson(), "identify_mode"),
-              "incremental");
     EXPECT_EQ(HealthField(daemon.value()->HealthJson(), "fallback_reason"),
               "cold_start");
 
@@ -816,8 +789,7 @@ TEST(IbsIncrementalServeTest, RecoveryForcesFullIdentifyThenIncremental) {
     injector.FailAlways("wal/fsync");
     EXPECT_FALSE(daemon.value()->Stop().ok());
   }
-  auto daemon = ServeDaemon::Start(
-      schema, DaemonOptions(dir, IdentifyMode::kIncremental));
+  auto daemon = ServeDaemon::Start(schema, DaemonOptions(dir));
   ASSERT_TRUE(daemon.ok()) << daemon.status();
   // WAL replay rebuilt the lattice behind the incremental state's back:
   // the first post-recovery identify must be a full sweep and say why.

@@ -8,7 +8,6 @@
 #include "data/profile.h"
 #include "datagen/generator.h"
 #include "datagen/random_spec.h"
-#include "mining/region_miner.h"
 #include "test_util.h"
 
 namespace remedy {
@@ -108,35 +107,38 @@ TEST_P(RandomSpecFuzzTest, GeneratesValidDatasets) {
 }
 
 TEST_P(RandomSpecFuzzTest, NaiveAndOptimizedIdentificationAgree) {
-  Rng rng(100 + GetParam());
-  SyntheticSpec spec = RandomSpec(rng);
-  Dataset data = GenerateSynthetic(spec, GetParam() + 20);
-  IbsParams params;
-  params.imbalance_threshold = 0.2;
-  params.min_region_size = 15;
-  params.algorithm = IbsAlgorithm::kNaive;
-  std::vector<BiasedRegion> naive = IdentifyIbs(data, params).value();
-  params.algorithm = IbsAlgorithm::kOptimized;
-  std::vector<BiasedRegion> optimized = IdentifyIbs(data, params).value();
-  ASSERT_EQ(naive.size(), optimized.size()) << "seed " << GetParam();
-  for (size_t i = 0; i < naive.size(); ++i) {
-    EXPECT_EQ(naive[i].pattern, optimized[i].pattern);
-    EXPECT_EQ(naive[i].neighbor_counts, optimized[i].neighbor_counts);
-  }
-}
-
-TEST_P(RandomSpecFuzzTest, MinerAndLatticeIdentificationAgree) {
-  Rng rng(200 + GetParam());
-  SyntheticSpec spec = RandomSpec(rng);
-  Dataset data = GenerateSynthetic(spec, GetParam() + 30);
-  IbsParams params;
-  params.imbalance_threshold = 0.25;
-  params.min_region_size = 20;
-  std::vector<BiasedRegion> lattice = IdentifyIbs(data, params).value();
-  std::vector<BiasedRegion> mined = IdentifyIbsWithMiner(data, params);
-  ASSERT_EQ(lattice.size(), mined.size()) << "seed " << GetParam();
-  for (size_t i = 0; i < lattice.size(); ++i) {
-    EXPECT_EQ(lattice[i].pattern, mined[i].pattern);
+  // The default shapes stop at 4 protected attributes. The second input is
+  // a sparse-support |X|=10 schema: 1023 lattice nodes over a few thousand
+  // rows, so most fine-grained regions fall below k.
+  RandomSpecOptions high_arity;
+  high_arity.min_attributes = 10;
+  high_arity.max_attributes = 12;
+  high_arity.min_protected = 10;
+  high_arity.max_protected = 10;
+  high_arity.max_cardinality = 4;
+  high_arity.num_rows = 2000;
+  for (bool wide : {false, true}) {
+    Rng rng(100 + GetParam());
+    SyntheticSpec spec =
+        RandomSpec(rng, wide ? high_arity : RandomSpecOptions{});
+    Dataset data = GenerateSynthetic(spec, GetParam() + 20);
+    IbsParams params;
+    params.imbalance_threshold = 0.2;
+    params.min_region_size = 15;
+    params.algorithm = IbsAlgorithm::kNaive;
+    std::vector<BiasedRegion> naive = IdentifyIbs(data, params).value();
+    params.algorithm = IbsAlgorithm::kOptimized;
+    std::vector<BiasedRegion> optimized = IdentifyIbs(data, params).value();
+    ASSERT_EQ(naive.size(), optimized.size())
+        << "seed " << GetParam() << (wide ? ", |X|=10" : "");
+    for (size_t i = 0; i < naive.size(); ++i) {
+      EXPECT_EQ(naive[i].pattern, optimized[i].pattern);
+      EXPECT_EQ(naive[i].neighbor_counts, optimized[i].neighbor_counts);
+    }
+    if (wide) {
+      ASSERT_EQ(data.schema().NumProtected(), 10);
+      EXPECT_FALSE(optimized.empty()) << "seed " << GetParam();
+    }
   }
 }
 

@@ -250,8 +250,6 @@ TEST(ServeRemedyTest, AutoRemedyCommitsAReplayableSequenceAndQuiesces) {
   const std::string health = daemon.value()->HealthJson();
   EXPECT_NE(health.find("\"auto_remedy\":true"), std::string::npos);
   EXPECT_NE(health.find("\"remedy_enabled\":true"), std::string::npos);
-  EXPECT_NE(health.find("\"counting_backend\":\"scalar\""),
-            std::string::npos);
   EXPECT_TRUE(daemon.value()->Stop().ok());
 }
 
